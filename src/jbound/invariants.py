@@ -2,11 +2,23 @@
 route decision for the height-bound theorems.
 
 A subgroup is handled through its image H in SL2(Z/N).  Cusps are orbits of
-<H, -I> on unimodular column vectors; elliptic points are detected by the
-coset-conjugation test against the order-4 element s = [[0,-1],[1,0]] and
-the order-3 element t = [[0,-1],[1,-1]]; the genus follows from the exact
-integer identity 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only
-depends on <H, -I>, and all counts are taken there.
+<H, -I> on unimodular column vectors.  Elliptic points come from the
+conjugacy classes Cl(s) and Cl(t) of the order-4 element s = [[0,-1],[1,0]]
+and the order-3 element t = [[0,-1],[1,-1]]: each class is the orbit of its
+element under conjugation by the generators S and T of SL2(Z/N), O(N^2)
+steps where a sweep over the group would take O(N^3).  The elements g with
+g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|, with centralizer order
+|C(s)| = |SL2(Z/N)| / |Cl(s)|, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
+and nu3 likewise with t.  The genus follows from the exact integer identity
+12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only depends on
+<H, -I>, and all counts are taken there.
+
+The "tilde" subgroup is the subgroup generated by every elliptic element of
+<H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, each taken with the sign that
+puts it in H, and by -I when H contains it and there is an elliptic element.
+It is normal in H, and its curve covers that of H unramified away from the
+cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
+checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.
 """
 
 from __future__ import annotations
@@ -24,11 +36,8 @@ from .sl2n import (
     SubgroupImage,
     closure,
     enumerate_group,
+    greedy_generators,
     group_order,
-    identity,
-    iter_group_raw,
-    mat_inv,
-    mat_mul,
     mat_neg,
     minus_identity,
     pm_elements,
@@ -67,20 +76,12 @@ class CurveInvariants:
 
 @dataclass(frozen=True)
 class EllipticData:
-    """Coset representatives of the elliptic points over j=1728 and j=0, and
-    the stabilizer generators found inside <H, -I> (sign as found)."""
+    """Elliptic point counts over j=1728 and j=0, and generators (elements
+    of H) of the subgroup generated by the elliptic elements of <H, -I>."""
 
-    order2_cosets: tuple
-    order3_cosets: tuple
+    nu2: int
+    nu3: int
     stabilizer_generators: tuple
-
-    @property
-    def nu2(self) -> int:
-        return len(self.order2_cosets)
-
-    @property
-    def nu3(self) -> int:
-        return len(self.order3_cosets)
 
 
 @dataclass(frozen=True)
@@ -107,20 +108,33 @@ def standard_subgroup(kind: SubgroupKind | str, n: int,
         elems = [Mat(n, 1, b, 0, 1) for b in range(n)]
         return SubgroupImage.from_elements(n, elems, [t])
     if kind is SubgroupKind.GAMMA0:
-        if n * euler_phi(n) > cap:
-            raise CapExceeded(
-                f"subgroup order {n * euler_phi(n)} exceeds the cap {cap}")
-        elems = []
-        for a in range(1, n):
-            if gcd(a, n) != 1:
-                continue
-            ainv = pow(a, -1, n)
-            elems.extend(Mat(n, a, b, 0, ainv) for b in range(n))
-        return SubgroupImage.from_elements(n, elems)
+        order = n * euler_phi(n)
+        if order > cap:
+            raise CapExceeded(f"subgroup order {order} exceeds the cap {cap}")
+        H = closure(n, [Mat(n, 1, 1, 0, 1)] + [Mat(n, u, 0, 0, pow(u, -1, n))
+                                              for u in _unit_generators(n)], cap)
+        if H.order != order:
+            raise AssertionError("internal: Gamma0 generators give the wrong order")
+        return H
     # FULL
     s = Mat(n, 0, n - 1, 1, 0)
     t = Mat(n, 1, 1, 0, 1)
     return SubgroupImage.from_elements(n, enumerate_group(n, cap), [s, t])
+
+
+def _unit_generators(n: int) -> list[int]:
+    """A small generating set of (Z/n)^x: each unit not yet generated."""
+    gens: list[int] = []
+    generated = {1}
+    for u in range(2, n):
+        if gcd(u, n) != 1 or u in generated:
+            continue
+        gens.append(u)
+        powers = [1]
+        while powers[-1] * u % n != 1:
+            powers.append(powers[-1] * u % n)
+        generated = {x * y % n for x in generated for y in powers}
+    return gens
 
 
 def cusp_count(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
@@ -128,7 +142,7 @@ def cusp_count(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
     n = H.level
     if n * n > cap:
         raise CapExceeded(f"vector sweep size {n * n} exceeds the cap {cap}")
-    action = list(H.generators) + [minus_identity(n)]
+    action = [(m.a, m.b, m.c, m.d) for m in H.generators] + [(n - 1, 0, 0, n - 1)]
     seen: set[tuple[int, int]] = set()
     count = 0
     for a0 in range(n):
@@ -140,77 +154,77 @@ def cusp_count(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
             seen.add((a0, c0))
             while stack:
                 a, c = stack.pop()
-                for m in action:
-                    w = ((m.a * a + m.b * c) % n, (m.c * a + m.d * c) % n)
+                for ma, mb, mc, md in action:
+                    w = ((ma * a + mb * c) % n, (mc * a + md * c) % n)
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
     return count
 
 
-def _pm_tuple_set(H: SubgroupImage) -> frozenset:
-    return frozenset((m.a, m.b, m.c, m.d) for m in pm_elements(H))
+def _packed(n: int, mats) -> set[int]:
+    """Matrices as the integers ((a*n + b)*n + c)*n + d."""
+    return {((m.a * n + m.b) * n + m.c) * n + m.d for m in mats}
 
 
-def _signed_member(n: int, conj: tuple, helems4: frozenset) -> Mat:
-    """The conjugate as it actually sits inside H (or -conj when only that is)."""
-    if conj in helems4:
-        return Mat(n, *conj)
-    neg = tuple((n - x) % n for x in conj)
-    if neg in helems4:
-        return Mat(n, *neg)
-    raise AssertionError("internal: conjugate not found in +-H")
+def _conjugacy_class(n: int, x: tuple) -> frozenset:
+    """The class of x in SL2(Z/n), packed: its orbit under conjugation by
+    S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate SL2(Z/n)."""
+    a, b, c, d = x
+    seen = {((a * n + b) * n + c) * n + d}
+    stack = [x]
+    while stack:
+        a, b, c, d = stack.pop()
+        for y in ((d, (n - c) % n, (n - b) % n, a),              # S x S^-1
+                  ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n)):  # T x T^-1
+            key = ((y[0] * n + y[1]) * n + y[2]) * n + y[3]
+            if key not in seen:
+                seen.add(key)
+                stack.append(y)
+    return frozenset(seen)
 
 
-def _is_new_coset(g: Mat, reps: list, hpm4: frozenset) -> bool:
-    for rep in reps:
-        prod = mat_mul(g, mat_inv(rep))
-        if (prod.a, prod.b, prod.c, prod.d) in hpm4:
-            return False
-    return True
+@lru_cache(maxsize=1)
+def _elliptic_classes(n: int) -> tuple[frozenset, frozenset]:
+    """The classes of s and t; cached for the level in use only."""
+    return (_conjugacy_class(n, (0, n - 1, 1, 0)),
+            _conjugacy_class(n, (0, n - 1, 1, n - 1)))
+
+
+def _unpack(n: int, key: int) -> Mat:
+    key, d = divmod(key, n)
+    key, c = divmod(key, n)
+    a, b = divmod(key, n)
+    return Mat(n, a, b, c, d)
 
 
 @lru_cache(maxsize=None)
 def elliptic_counts(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> EllipticData:
-    """Scan all of SL2(Z/N): the coset of g is elliptic over j=1728 when
-    g s g^-1 lands in <H, -I>, and over j=0 when g t g^-1 does.  Counts come
-    out as exact multiples of |<H, -I>|."""
+    """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
+
+    The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
+    where |C(s)| = |G| / |Cl(s)| is the centralizer order; dividing by
+    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0.
+    The stabilizer generators are a greedy generating set of the subgroup
+    that the elliptic elements of <H, -I>, each signed into H, generate."""
     n = H.level
     order = group_order(n)
     if order > cap:
         raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
-    helems4 = frozenset((m.a, m.b, m.c, m.d) for m in H.elements)
-    hpm4 = _pm_tuple_set(H)
-    hits2 = hits3 = 0
-    reps2: list[Mat] = []
-    reps3: list[Mat] = []
-    stab: list[Mat] = []
-    for a, b, c, d in iter_group_raw(n):
-        e1 = (a * c + b * d) % n
-        sconj = (e1, (-(a * a + b * b)) % n, (c * c + d * d) % n, (n - e1) % n)
-        if sconj in hpm4:
-            hits2 += 1
-            g = Mat(n, a, b, c, d)
-            if _is_new_coset(g, reps2, hpm4):
-                reps2.append(g)
-                stab.append(_signed_member(n, sconj, helems4))
-        f1 = (b * d + a * c + b * c) % n
-        tconj = (f1, (-(a * a + a * b + b * b)) % n,
-                 (c * c + c * d + d * d) % n, (-(b * d + a * c + a * d)) % n)
-        if tconj in hpm4:
-            hits3 += 1
-            g = Mat(n, a, b, c, d)
-            if _is_new_coset(g, reps3, hpm4):
-                reps3.append(g)
-                stab.append(_signed_member(n, tconj, helems4))
-    pm_size = len(hpm4)
-    nu2, r2 = divmod(hits2, pm_size)
-    nu3, r3 = divmod(hits3, pm_size)
-    if r2 or r3:
-        raise AssertionError("internal: elliptic hit count is not a multiple of |<H,-I>|")
-    if len(reps2) != nu2 or len(reps3) != nu3:
-        raise AssertionError("internal: coset representative count mismatch")
-    return EllipticData(tuple(reps2), tuple(reps3), tuple(stab))
+    hset = _packed(n, H.elements)
+    hpm = _packed(n, pm_elements(H))
+    nus = []
+    signed = set()
+    for cls in _elliptic_classes(n):
+        found = cls & hpm
+        nu, rem = divmod(order * len(found), len(cls) * len(hpm))
+        if rem:
+            raise AssertionError("internal: elliptic count is not an integer")
+        nus.append(nu)
+        for key in found:
+            m = _unpack(n, key)
+            signed.add(m if key in hset else mat_neg(m))
+    return EllipticData(nus[0], nus[1], greedy_generators(n, frozenset(signed)))
 
 
 def psl_index(H: SubgroupImage) -> int:
@@ -238,9 +252,9 @@ def genus(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
 
 @lru_cache(maxsize=None)
 def tilde_subgroup(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> SubgroupImage:
-    """The image generated by the elliptic stabilizer generators of H, with
-    -I adjoined when H contains it and there is something to adjoin it to.
-    No elliptic cosets means the trivial image."""
+    """The image generated by every elliptic element of <H, -I>, signed into
+    H, with -I adjoined when H contains it and there is something to adjoin
+    it to.  No elliptic elements means the trivial image."""
     ell = elliptic_counts(H, cap)
     gens = list(ell.stabilizer_generators)
     if gens and H.contains_minus_i:
@@ -289,18 +303,8 @@ def verify_unramified(H: SubgroupImage, G: SubgroupImage,
     order = group_order(n)
     if order > cap:
         raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
-    hpm4 = _pm_tuple_set(H)
-    gpm4 = _pm_tuple_set(G)
-    if not gpm4 <= hpm4:
+    hpm = _packed(n, pm_elements(H))
+    gpm = _packed(n, pm_elements(G))
+    if not gpm <= hpm:
         raise ValueError("G is not contained in <H, -I>")
-    for a, b, c, d in iter_group_raw(n):
-        e1 = (a * c + b * d) % n
-        sconj = (e1, (-(a * a + b * b)) % n, (c * c + d * d) % n, (n - e1) % n)
-        if sconj in hpm4 and sconj not in gpm4:
-            return False
-        f1 = (b * d + a * c + b * c) % n
-        tconj = (f1, (-(a * a + a * b + b * b)) % n,
-                 (c * c + c * d + d * d) % n, (-(b * d + a * c + a * d)) % n)
-        if tconj in hpm4 and tconj not in gpm4:
-            return False
-    return True
+    return all(cls & hpm <= gpm for cls in _elliptic_classes(n))

@@ -89,23 +89,17 @@ def _first_column_completion(n: int, a: int, c: int) -> tuple[int, int]:
     return (-y * ginv) % n, (x * ginv) % n
 
 
-def iter_group_raw(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """All of SL2(Z/n) as plain (a, b, c, d) tuples, in a fixed deterministic order."""
+def iter_group(n: int) -> Iterator[Mat]:
+    """All of SL2(Z/n) as Mat values, in a fixed deterministic order."""
     for a in range(n):
         for c in range(n):
             if gcd(gcd(a, c), n) != 1:
                 continue
             b, d = _first_column_completion(n, a, c)
             for _ in range(n):
-                yield (a, b, c, d)
+                yield Mat(n, a, b, c, d)
                 b = (b + a) % n
                 d = (d + c) % n
-
-
-def iter_group(n: int) -> Iterator[Mat]:
-    """All of SL2(Z/n) as Mat values, in the same order as iter_group_raw."""
-    for a, b, c, d in iter_group_raw(n):
-        yield Mat(n, a, b, c, d)
 
 
 def enumerate_group(n: int, cap: int = ENUMERATION_CAP) -> frozenset[Mat]:
@@ -159,7 +153,7 @@ class SubgroupImage:
         for m in elems:
             if not isinstance(m, Mat) or m.n != level:
                 raise ValueError(f"element at wrong level: {m!r}")
-        gens = tuple(generators) if generators is not None else _greedy_generators(level, elems)
+        gens = tuple(generators) if generators is not None else greedy_generators(level, elems)
         sub = closure(level, gens)
         if sub.elements != elems:
             raise ValueError("generators do not generate the element set")
@@ -177,13 +171,15 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
         if g.n != n:
             raise ValueError(f"generator at wrong level: {g!r}")
         gen_list.append(Mat.make(g.n, g.a, g.b, g.c, g.d))
+    gen_entries = [(g.a, g.b, g.c, g.d) for g in gen_list]
     ident = identity(n)
     seen = {ident}
     queue = deque([ident])
     while queue:
-        cur = queue.popleft()
-        for g in gen_list:
-            nxt = mat_mul(cur, g)
+        _, a, b, c, d = queue.popleft()
+        for e, f, g, h in gen_entries:  # cur * g, as mat_mul without its level check
+            nxt = Mat(n, (a * e + b * g) % n, (a * f + b * h) % n,
+                      (c * e + d * g) % n, (c * f + d * h) % n)
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(
@@ -194,9 +190,9 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
                          minus_identity(n) in seen)
 
 
-def _greedy_generators(level: int, elems: frozenset) -> tuple:
-    """Deterministic small generating set: scan elements in sorted order and
-    keep those not yet generated."""
+def greedy_generators(level: int, elems: frozenset) -> tuple:
+    """A deterministic small generating set of the subgroup that ``elems``
+    generate: scan them in sorted order and keep those not yet generated."""
     gens: list[Mat] = []
     current = {identity(level)}
     for e in sorted(elems):

@@ -16,9 +16,15 @@ Two tiers are provided:
 * the ``ref_*_literal`` functions materialize even those towers as honest
   mpf numbers, which is feasible for small levels, and exist to cross-check
   the log-space algebra of tier one.
+
+The file also keeps the full-group elliptic sweep (``ref_elliptic_sweep``,
+``ref_unramified``), the package's former O(|SL2(Z/N)|) algorithm, as an
+oracle for the conjugacy-class engine.  It works on plain (a, b, c, d)
+tuples.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from mpmath import mp, mpf, log, sqrt, exp, fsum, fprod
 
@@ -235,3 +241,93 @@ def ref_ln_bound_covering_literal(n, d, abs_disc, r_inf, places, ln_c=0):
                  * mpf(p) ** (d * level * dl)
                  * delta)
         return log(bound), level
+
+
+# ---- elliptic points by a sweep over the whole group ----
+
+def _mul(x, y, n):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % n, (a * f + b * h) % n,
+            (c * e + d * g) % n, (c * f + d * h) % n)
+
+
+def _inv(x, n):
+    a, b, c, d = x
+    return (d, -b % n, -c % n, a)
+
+
+def _neg(x, n):
+    return tuple(-v % n for v in x)
+
+
+def sl2_elements(n):
+    """All of SL2(Z/n): each first column (a, c) with gcd(a, c, n) = 1, then
+    its n completions (b0 + k a, d0 + k c)."""
+    for a in range(n):
+        for c in range(n):
+            if gcd(gcd(a, c), n) != 1:
+                continue
+            # a x + c y = g with gcd(g, n) = 1
+            r0, r1, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
+            while r1:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                x0, x1 = x1, x0 - q * x1
+                y0, y1 = y1, y0 - q * y1
+            ginv = pow(r0, -1, n)
+            b, d = -y0 * ginv % n, x0 * ginv % n
+            for _ in range(n):
+                yield (a, b, c, d)
+                b, d = (b + a) % n, (d + c) % n
+
+
+def _conjugates(n):
+    """(g, g s g^-1, g t g^-1) over all g, with s = [[0,-1],[1,0]] and
+    t = [[0,-1],[1,-1]], written out entry by entry."""
+    for g in sl2_elements(n):
+        a, b, c, d = g
+        e = (a * c + b * d) % n
+        f = (b * d + a * c + b * c) % n
+        yield (g,
+               (e, -(a * a + b * b) % n, (c * c + d * d) % n, -e % n),
+               (f, -(a * a + a * b + b * b) % n, (c * c + c * d + d * d) % n,
+                -(b * d + a * c + a * d) % n))
+
+
+def ref_elliptic_sweep(n, h):
+    """(nu2, nu3, stab) for the subgroup h (a set of tuples) of SL2(Z/n).
+
+    Every g is tested: g s g^-1 in <h, -I> puts the coset <h, -I> g over
+    j=1728, and g t g^-1 over j=0.  ``stab`` holds, for the first g of each
+    elliptic coset in the order of ``sl2_elements``, that conjugate signed
+    into h, and then -I when h holds it and ``stab`` is not empty: the
+    generators of the sweep's stabilizer ("tilde") subgroup.
+    """
+    hpm = set(h) | {_neg(x, n) for x in h}
+    hits = [0, 0]
+    reps = [[], []]
+    stab = []
+    for g, *conjs in _conjugates(n):
+        for k, conj in enumerate(conjs):
+            if conj not in hpm:
+                continue
+            hits[k] += 1
+            if all(_mul(g, _inv(r, n), n) not in hpm for r in reps[k]):
+                reps[k].append(g)
+                stab.append(conj if conj in h else _neg(conj, n))
+    nu2, rem2 = divmod(hits[0], len(hpm))
+    nu3, rem3 = divmod(hits[1], len(hpm))
+    assert rem2 == rem3 == 0 and (nu2, nu3) == tuple(map(len, reps))
+    minus_i = (n - 1, 0, 0, n - 1)
+    if stab and minus_i in h:
+        stab.append(minus_i)
+    return nu2, nu3, stab
+
+
+def ref_unramified(n, h, g):
+    """True when no conjugate of s or t lies in <h, -I> but outside <g, -I>."""
+    hpm = set(h) | {_neg(x, n) for x in h}
+    gpm = set(g) | {_neg(x, n) for x in g}
+    return not any(conj in hpm and conj not in gpm
+                   for _g, *conjs in _conjugates(n) for conj in conjs)

@@ -65,6 +65,19 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_tilde_from_every_elliptic_element(capsys):
+    # one conjugate of s per elliptic coset generates only an order-4
+    # subgroup here, which would have 3 cusps but ramifies over H
+    gens = ("--level", "4", "--gens", "0,3,1,0;0,3,1,2")
+    code, out, _err = run(capsys, "invariants", *gens)
+    assert code == EXIT_OK
+    assert "tilde order 8  mu 6  nuInf 2  nu2 2  nu3 0  genus 0\n" in out
+    assert "verdict Inapplicable" in out
+    code, _out, err = run(capsys, "bound", *gens)
+    assert code == EXIT_INAPPLICABLE
+    assert "2 cusp(s)" in err
+
+
 def test_unknown_subcommand_is_spec_error(capsys):
     code, _out, _err = run(capsys, "frobnicate")
     assert code == EXIT_SPEC_ERROR

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import reference as R
 from jbound.invariants import (
     Applicability,
     CurveInvariants,
@@ -366,3 +367,122 @@ def test_applicability_carries_tilde_image():
     assert isinstance(a, Applicability)
     assert a.tilde_image == tilde_subgroup(h)
     assert curve_invariants(a.tilde_image) == a.tilde_invariants
+
+
+# ---- the conjugacy-class engine against the full-group sweep ----
+
+def _tuples(elems):
+    return {(m.a, m.b, m.c, m.d) for m in elems}
+
+
+def random_subgroups(count, seed):
+    """Subgroups closed from one or two random elements at levels 2..16."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 16)
+        elems = sorted(enumerate_group(n))
+        out.append(closure(n, rng.sample(elems, rng.randint(1, 2))))
+    return out
+
+
+def check_against_sweep(h):
+    """nu2 and nu3 must equal the sweep's; the sweep's tilde (one conjugate
+    per elliptic coset) must equal the engine's wherever it passes
+    verify_unramified.  Returns the sweep's tilde."""
+    n = h.level
+    nu2, nu3, stab = R.ref_elliptic_sweep(n, _tuples(h.elements))
+    e = elliptic_counts(h)
+    assert (e.nu2, e.nu3) == (nu2, nu3), h
+    old = closure(n, [Mat(n, *x) for x in stab])
+    if verify_unramified(h, old):
+        assert tilde_subgroup(h) == old, h
+    return old
+
+
+def test_elliptic_counts_match_full_group_sweep():
+    for kind in (SubgroupKind.GAMMA1, SubgroupKind.PRINCIPAL, SubgroupKind.FULL):
+        for n in range(2, 31):
+            check_against_sweep(standard_subgroup(kind, n))
+    for n in range(2, 61):
+        check_against_sweep(standard_subgroup(SubgroupKind.GAMMA0, n))
+
+
+def test_engines_agree_on_random_subgroups():
+    ramified_old = 0
+    for h in random_subgroups(240, 1729):
+        old = check_against_sweep(h)
+        hs = _tuples(h.elements)
+        for g in (old, tilde_subgroup(h)):
+            assert verify_unramified(h, g) == R.ref_unramified(
+                h.level, hs, _tuples(g.elements)), h
+        ramified_old += not verify_unramified(h, old)
+    # the corpus reaches subgroups where one conjugate per coset is too few
+    assert ramified_old > 0
+
+
+def test_tilde_is_unramified_over_h():
+    corpus = [standard_subgroup(kind, n) for kind in SubgroupKind
+              for n in range(2, 31)]
+    for h in corpus + random_subgroups(240, 1729):
+        assert verify_unramified(h, tilde_subgroup(h)), h
+
+
+def test_tilde_contains_every_elliptic_element():
+    # the conjugates of s in +-H generate a subgroup of order 8; one
+    # conjugate per elliptic coset gives order 4, which ramifies over H
+    n = 4
+    h = closure(n, [Mat.make(n, 0, 3, 1, 0), Mat.make(n, 0, 3, 1, 2)])
+    t = tilde_subgroup(h)
+    assert t.order == 8
+    assert verify_unramified(h, t)
+    assert curve_invariants(t).nu_inf == 2
+    assert applicability(h).verdict is Verdict.INAPPLICABLE
+
+
+# ---- Diamond-Shurman closed forms (A First Course in Modular Forms, 3.9) ----
+
+def kronecker_minus(a, p):
+    """The symbol (-a/p) for a in {1, 3}, with the conventions of the
+    closed forms: (-1/2) = 0, (-3/2) = -1 and (-3/3) = 0."""
+    if p == 2:
+        return 0 if a == 1 else -1
+    if p == a:
+        return 0
+    return 1 if p % (4 if a == 1 else 3) == 1 else -1
+
+
+def closed_forms(kind, n):
+    """(mu, nuInf, nu2, nu3) of Gamma0(n), Gamma1(n) or Gamma(n)."""
+    ps = R.prime_factors(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    full_index = n * n
+    for p in ps:
+        full_index = full_index // (p * p) * (p * p - 1)   # [SL2(Z) : Gamma1(n)]
+    if kind is SubgroupKind.GAMMA0:
+        mu = n
+        nu2 = 0 if n % 4 == 0 else 1
+        nu3 = 0 if n % 9 == 0 else 1
+        for p in ps:
+            mu = mu // p * (p + 1)
+            nu2 *= 1 + kronecker_minus(1, p)
+            nu3 *= 1 + kronecker_minus(3, p)
+        nu_inf = sum(R.euler_phi(gcd(d, n // d)) for d in divisors)
+        return mu, nu_inf, nu2, nu3
+    if kind is SubgroupKind.GAMMA1:
+        if n <= 4:
+            return {2: (3, 2, 1, 0), 3: (4, 2, 0, 1), 4: (6, 3, 0, 0)}[n]
+        nu_inf = sum(R.euler_phi(d) * R.euler_phi(n // d) for d in divisors)
+        return full_index // 2, nu_inf // 2, 0, 0
+    if n == 2:
+        return 6, 3, 0, 0
+    mu = full_index * n // 2
+    return mu, mu // n, 0, 0
+
+
+def test_closed_forms_to_level_150():
+    kinds = (SubgroupKind.GAMMA0, SubgroupKind.GAMMA1, SubgroupKind.PRINCIPAL)
+    for n in range(2, 151):
+        for kind in kinds:
+            inv = curve_invariants(standard_subgroup(kind, n))
+            assert (inv.mu, inv.nu_inf, inv.nu2, inv.nu3) == closed_forms(kind, n), (kind, n)
