@@ -36,7 +36,6 @@ from .invariants import (
     cusp_count,
     elliptic_counts,
     forces_three_cusps,
-    genus,
     psl_index,
     standard_subgroup,
     tilde_subgroup,
@@ -49,7 +48,6 @@ from .sl2n import (
     Mat,
     SubgroupImage,
     closure,
-    coset_reps,
     element_order,
     enumerate_group,
     group_order,
@@ -68,11 +66,10 @@ __all__ = [
     "InapplicableError", "Mat", "NumberFieldSpec", "Rounding", "SSetSpec",
     "SubgroupImage", "SubgroupKind", "Theorem", "Verdict", "XReal",
     "applicability", "b_of", "bound_auto", "bound_main", "bound_main1",
-    "closure", "coset_reps", "curve_invariants", "cusp_count", "d_n",
-    "delta1_ln", "element_order", "elliptic_counts", "enumerate_group",
-    "euler_phi", "forces_three_cusps", "genus", "group_order", "h_s",
-    "is_prime", "lambda_ln", "ln_delta", "ln_delta0", "ln_dstar",
-    "m_of", "mat_inv", "mat_mul", "mat_neg", "p_max", "pm_elements",
-    "prime_factors", "psl_index", "sl2_order", "standard_subgroup",
-    "tilde_subgroup", "verify_unramified",
+    "closure", "curve_invariants", "cusp_count", "d_n", "delta1_ln",
+    "element_order", "elliptic_counts", "enumerate_group", "euler_phi",
+    "forces_three_cusps", "group_order", "h_s", "is_prime", "lambda_ln",
+    "ln_delta", "ln_delta0", "ln_dstar", "m_of", "mat_inv", "mat_mul",
+    "mat_neg", "p_max", "pm_elements", "prime_factors", "psl_index",
+    "sl2_order", "standard_subgroup", "tilde_subgroup", "verify_unramified",
 ]

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import Verdict, applicability, cusp_count
+from .invariants import Verdict, applicability
 from .numtheory import b_of, d_n, euler_phi, is_prime, m_of
 from .sl2n import ENUMERATION_CAP, SubgroupImage
 from .xreal import DEFAULT_PREC, Rounding, XReal
@@ -296,7 +296,7 @@ def bound_auto(H: SubgroupImage, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
         return bound_main(H.level, field, sset, ln_c, rounding, prec)
     if app.verdict is Verdict.MAIN_VIA_TILDE:
         return bound_main1(H.level, field, sset, ln_c, rounding, prec)
-    raise InapplicableError(cusp_count(H, cap), app.tilde_invariants.nu_inf)
+    raise InapplicableError(app.invariants.nu_inf, app.tilde_invariants.nu_inf)
 
 
 def delta1_ln(level: int, field0: NumberFieldSpec, s0_product: XReal, s0: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -23,13 +24,13 @@ from .bounds import (
     NumberFieldSpec,
     SSetSpec,
     Theorem,
+    _check_compatible,
     bound_auto,
 )
 from .invariants import (
     CurveInvariants,
     SubgroupKind,
     applicability,
-    curve_invariants,
     standard_subgroup,
 )
 from .numtheory import is_prime
@@ -42,6 +43,10 @@ EXIT_SPEC_ERROR = 3
 EXIT_CAP_EXCEEDED = 4
 
 SCHEMA_VERSION = 1
+
+# Above about 14000 bits a decimal rendering needs more digits than Python
+# converts from an integer; 8192 bits evaluate a bound in a fraction of a second.
+MAX_PRECISION = 8192
 
 _LOG10_BREAKDOWN_THRESHOLD = 10 ** 6
 
@@ -117,6 +122,17 @@ def _parse_gens(text: str, level: int) -> list[Mat]:
     return mats
 
 
+def _as_int(value, what: str) -> int:
+    """An integer or a string of one; a float or a boolean is refused
+    rather than truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SpecError(f"{what} must be an integer, got {value!r}")
+
+
 def _load_spec_document(path: str) -> dict:
     try:
         if path == "-":
@@ -125,7 +141,7 @@ def _load_spec_document(path: str) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
         raise SpecError(f"cannot read job spec: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("job spec document must be a JSON object")
@@ -160,39 +176,45 @@ def _build_jobspec(args: argparse.Namespace) -> JobSpec:
             values[dest] = val
     if args.place:
         values["places"] = list(args.place)
-    if "level" not in values or values["level"] is None:
+    if values.get("level") is None:
         raise SpecError("a level is required (--level or the job spec)")
-    try:
-        level = int(values["level"])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad level: {values['level']!r}") from exc
+    level = _as_int(values["level"], "level")
     if level < 2:
         raise SpecError(f"level must be >= 2, got {level}")
     places_raw = values.get("places", ())
+    if not isinstance(places_raw, (list, tuple)):
+        raise SpecError(f"places must be a list, got {places_raw!r}")
+    if not isinstance(values.get("gens", ""), (str, type(None))):
+        raise SpecError(f"gens must be a string, got {values['gens']!r}")
     places = []
     for item in places_raw:
         if isinstance(item, str):
             places.append(_parse_place(item))
         elif isinstance(item, (list, tuple)) and len(item) == 2:
-            places.append((int(item[0]), int(item[1])))
+            places.append((_as_int(item[0], "place prime"),
+                           _as_int(item[1], "residue degree")))
         else:
             raise SpecError(f"cannot parse place entry {item!r}")
     try:
-        spec = JobSpec(
-            level=level,
-            subgroup=str(values.get("subgroup", "gamma0")),
-            gens=values.get("gens"),
-            degree=int(values.get("degree", 1)),
-            abs_disc=int(values.get("abs_disc", 1)),
-            inf_places=int(values.get("inf_places", 1)),
-            places=tuple(places),
-            ln_c=float(values.get("ln_c", 0.0)),
-            precision_bits=int(values.get("precision_bits", DEFAULT_PREC)),
-        )
+        ln_c = float(values.get("ln_c", 0.0))
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad job spec value: {exc}") from exc
-    if spec.precision_bits < 8:
-        raise SpecError(f"precision must be >= 8 bits, got {spec.precision_bits}")
+        raise SpecError(f"bad lnC: {exc}") from exc
+    if not math.isfinite(ln_c):
+        raise SpecError(f"lnC must be finite, got {ln_c}")
+    spec = JobSpec(
+        level=level,
+        subgroup=str(values.get("subgroup", "gamma0")),
+        gens=values.get("gens"),
+        degree=_as_int(values.get("degree", 1), "degree"),
+        abs_disc=_as_int(values.get("abs_disc", 1), "disc"),
+        inf_places=_as_int(values.get("inf_places", 1), "infPlaces"),
+        places=tuple(places),
+        ln_c=ln_c,
+        precision_bits=_as_int(values.get("precision_bits", DEFAULT_PREC), "precision"),
+    )
+    if not 8 <= spec.precision_bits <= MAX_PRECISION:
+        raise SpecError(f"precision must be 8..{MAX_PRECISION} bits, "
+                        f"got {spec.precision_bits}")
     return spec
 
 
@@ -210,15 +232,16 @@ def _resolve_subgroup(spec: JobSpec) -> SubgroupImage:
 
 def _field_and_sset(spec: JobSpec) -> tuple[NumberFieldSpec, SSetSpec]:
     try:
-        return (NumberFieldSpec(spec.degree, spec.abs_disc),
-                SSetSpec(spec.inf_places, spec.places))
+        field = NumberFieldSpec(spec.degree, spec.abs_disc)
+        sset = SSetSpec(spec.inf_places, spec.places)
+        _check_compatible(field, sset)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
+    return field, sset
 
 
 def build_report(spec: JobSpec, want_bound: bool) -> Report:
     H = _resolve_subgroup(spec)
-    inv = curve_invariants(H)
     app = applicability(H)
     warnings: list[str] = []
     bound = None
@@ -233,7 +256,7 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
         command="bound" if want_bound else "invariants",
         level=spec.level,
         subgroup=spec.subgroup if not spec.gens else f"gens:{spec.gens}",
-        invariants=inv,
+        invariants=app.invariants,
         tilde_order=app.tilde_image.order,
         tilde_invariants=app.tilde_invariants,
         verdict=app.verdict.value,
@@ -391,9 +414,8 @@ def render_tables(family: str, start: int, stop: int, primes_only: bool) -> str:
     for n in range(max(start, 2), stop + 1):
         if primes_only and not is_prime(n):
             continue
-        H = standard_subgroup(kind, n)
-        inv = curve_invariants(H)
-        app = applicability(H)
+        app = applicability(standard_subgroup(kind, n))
+        inv = app.invariants
         rows.append(
             f"{kind.value:<7} {n:>3} {inv.mu:>6} {inv.nu_inf:>5} {inv.nu2:>3} "
             f"{inv.nu3:>3} {inv.genus:>5} {app.tilde_image.order:>8} "
@@ -416,7 +438,8 @@ def _add_job_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--place", action="append",
                      help="finite place as p or p^f; repeatable")
     sub.add_argument("--lnC", type=float, help="ln of the absolute constant (default 0)")
-    sub.add_argument("--precision", type=int, help="mantissa precision in bits (default 128)")
+    sub.add_argument("--precision", type=int,
+                     help=f"mantissa precision in bits (default 128, at most {MAX_PRECISION})")
     sub.add_argument("--json", action="store_true", help="emit the JSON report")
 
 

@@ -19,6 +19,13 @@ puts it in H, and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
 checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.
+
+Each classical family is the closure of its generators, checked against the
+family's exact order: none for Gamma(N), T for Gamma1(N), T and diag(u, u^-1)
+over a greedy generating set of units u for Gamma0(N), and S and T for
+SL2(Z/N).  applicability reads the invariants of H and of
+its tilde once, through the cached curve_invariants, and returns both, so
+callers never count cusps themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .sl2n import (
     Mat,
     SubgroupImage,
     closure,
-    enumerate_group,
     greedy_generators,
     group_order,
     mat_neg,
@@ -87,6 +93,7 @@ class EllipticData:
 @dataclass(frozen=True)
 class Applicability:
     verdict: Verdict
+    invariants: CurveInvariants
     tilde_image: SubgroupImage
     tilde_invariants: CurveInvariants
     sufficient_criterion_holds: bool
@@ -95,46 +102,28 @@ class Applicability:
 @lru_cache(maxsize=None)
 def standard_subgroup(kind: SubgroupKind | str, n: int,
                       cap: int = ENUMERATION_CAP) -> SubgroupImage:
-    """The image of a classical family at level n."""
+    """The image of a classical family at level n: the closure of the
+    family's generators, checked against the family's exact order."""
     kind = SubgroupKind(kind)
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
-    if kind is SubgroupKind.PRINCIPAL:
-        return closure(n, [], cap)
-    if kind is SubgroupKind.GAMMA1:
-        if n > cap:
-            raise CapExceeded(f"subgroup order {n} exceeds the cap {cap}")
-        t = Mat(n, 1, 1, 0, 1)
-        elems = [Mat(n, 1, b, 0, 1) for b in range(n)]
-        return SubgroupImage.from_elements(n, elems, [t])
-    if kind is SubgroupKind.GAMMA0:
-        order = n * euler_phi(n)
-        if order > cap:
-            raise CapExceeded(f"subgroup order {order} exceeds the cap {cap}")
-        H = closure(n, [Mat(n, 1, 1, 0, 1)] + [Mat(n, u, 0, 0, pow(u, -1, n))
-                                              for u in _unit_generators(n)], cap)
-        if H.order != order:
-            raise AssertionError("internal: Gamma0 generators give the wrong order")
-        return H
-    # FULL
-    s = Mat(n, 0, n - 1, 1, 0)
     t = Mat(n, 1, 1, 0, 1)
-    return SubgroupImage.from_elements(n, enumerate_group(n, cap), [s, t])
-
-
-def _unit_generators(n: int) -> list[int]:
-    """A small generating set of (Z/n)^x: each unit not yet generated."""
-    gens: list[int] = []
-    generated = {1}
-    for u in range(2, n):
-        if gcd(u, n) != 1 or u in generated:
-            continue
-        gens.append(u)
-        powers = [1]
-        while powers[-1] * u % n != 1:
-            powers.append(powers[-1] * u % n)
-        generated = {x * y % n for x in generated for y in powers}
-    return gens
+    if kind is SubgroupKind.PRINCIPAL:
+        gens, order = [], 1
+    elif kind is SubgroupKind.GAMMA1:
+        gens, order = [t], n
+    elif kind is SubgroupKind.GAMMA0:
+        units = frozenset(Mat(n, u, 0, 0, pow(u, -1, n))
+                          for u in range(1, n) if gcd(u, n) == 1)
+        gens, order = [t, *greedy_generators(n, units)], n * euler_phi(n)
+    else:  # FULL
+        gens, order = [Mat(n, 0, n - 1, 1, 0), t], group_order(n)
+    if order > cap:
+        raise CapExceeded(f"subgroup order {order} exceeds the cap {cap}")
+    H = closure(n, gens, cap)
+    if H.order != order:
+        raise AssertionError(f"internal: {kind.value} generators give the wrong order")
+    return H
 
 
 def cusp_count(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
@@ -229,7 +218,8 @@ def elliptic_counts(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> EllipticDat
 
 def psl_index(H: SubgroupImage) -> int:
     """mu: the index of the +-1 image of H in the +-1 quotient of SL2(Z/N)."""
-    mu, rem = divmod(group_order(H.level), len(pm_elements(H)))
+    pm_order = H.order if H.contains_minus_i else 2 * H.order
+    mu, rem = divmod(group_order(H.level), pm_order)
     if rem:
         raise AssertionError("internal: subgroup order does not divide the group order")
     return mu
@@ -244,10 +234,6 @@ def curve_invariants(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> CurveInvar
     if rem:
         raise AssertionError("internal: genus formula did not give an integer")
     return CurveInvariants(mu, nu_inf, ell.nu2, ell.nu3, g12)
-
-
-def genus(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
-    return curve_invariants(H, cap).genus
 
 
 @lru_cache(maxsize=None)
@@ -279,17 +265,17 @@ def forces_three_cusps(G: SubgroupImage) -> bool:
 def applicability(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> Applicability:
     """Which bound route applies: the subgroup's own curve having >= 3 cusps,
     the elliptic-stabilizer subgroup's curve having >= 3 cusps, or neither."""
-    nu_h = cusp_count(H, cap)
+    inv = curve_invariants(H, cap)
     tilde = tilde_subgroup(H, cap)
     tinv = curve_invariants(tilde, cap)
     crit = forces_three_cusps(tilde)
-    if nu_h >= 3:
+    if inv.nu_inf >= 3:
         verdict = Verdict.MAIN_DIRECT
     elif tinv.nu_inf >= 3:
         verdict = Verdict.MAIN_VIA_TILDE
     else:
         verdict = Verdict.INAPPLICABLE
-    return Applicability(verdict, tilde, tinv, crit)
+    return Applicability(verdict, inv, tilde, tinv, crit)
 
 
 def verify_unramified(H: SubgroupImage, G: SubgroupImage,

@@ -4,7 +4,9 @@ Matrices are stored with entries reduced to [0, N); element sets are frozen
 and compared by content, so subgroup equality never depends on how a
 subgroup was generated.  Enumeration walks unimodular first columns (a, c)
 with gcd(a, c, N) = 1 and sweeps the N completions of each, which makes the
-order formula an actual counting argument rather than a filter.
+order formula an actual counting argument rather than a filter.  No routine
+of the package sweeps the whole group: subgroups, SL2(Z/N) included, are
+built by closing generators, and enumeration serves as a reference.
 """
 
 from __future__ import annotations
@@ -218,23 +220,3 @@ def pm_elements(H: SubgroupImage) -> frozenset:
     if H.contains_minus_i:
         return H.elements
     return H.elements | frozenset(mat_neg(m) for m in H.elements)
-
-
-def coset_reps(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> list[Mat]:
-    """One representative per right coset of <H, -I> in SL2(Z/N), first-seen
-    in the deterministic enumeration order."""
-    n = H.level
-    order = group_order(n)
-    if order > cap:
-        raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
-    hpm = pm_elements(H)
-    covered: set[Mat] = set()
-    reps: list[Mat] = []
-    for g in iter_group(n):
-        if g in covered:
-            continue
-        reps.append(g)
-        covered.update(mat_mul(h, g) for h in hpm)
-    if len(reps) * len(hpm) != order:
-        raise AssertionError("internal: cosets do not partition the group")
-    return reps

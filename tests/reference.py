@@ -17,6 +17,9 @@ Two tiers are provided:
   mpf numbers, which is feasible for small levels, and exist to cross-check
   the log-space algebra of tier one.
 
+``partitions`` enumerates integer partitions for the residue-degree lemma,
+checked against the tabulated counts ``PARTITION_COUNTS``.
+
 The file also keeps the full-group elliptic sweep (``ref_elliptic_sweep``,
 ``ref_unramified``), the package's former O(|SL2(Z/N)|) algorithm, as an
 oracle for the conjugacy-class engine.  It works on plain (a, b, c, d)
@@ -331,3 +334,39 @@ def ref_unramified(n, h, g):
     gpm = set(g) | {_neg(x, n) for x in g}
     return not any(conj in hpm and conj not in gpm
                    for _g, *conjs in _conjugates(n) for conj in conjs)
+
+
+# ---- integer partitions ----
+
+# p(t) for t = 0..24 (OEIS A000041)
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
+                    176, 231, 297, 385, 490, 627, 792, 1002, 1255, 1575)
+
+
+def partitions(total):
+    """Every partition of ``total`` >= 1 once, as a non-decreasing list.
+
+    The accelerated ascending-composition generator of Kelleher and
+    O'Sullivan ("Generating all partitions: a comparison of two encodings"):
+    a[:k] is a fixed prefix, x the smallest allowed next part and y what is
+    left to place.  Constant amortized time per partition."""
+    if total < 1:
+        raise ValueError(f"total must be >= 1, got {total}")
+    a = [0] * (total + 1)
+    k = 1
+    y = total - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:      # extend the prefix while two parts >= x still fit
+            a[k] = x
+            y -= x
+            k += 1
+        while x <= y:          # the prefix, then the two parts x <= y
+            a[k], a[k + 1] = x, y
+            yield a[:k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y           # the prefix, then the single part x + y
+        y = x + y - 1
+        yield a[:k + 1]

@@ -221,22 +221,17 @@ def test_criterion_09_rounding_soundness_and_monotonicity_zero_violations():
 
 
 def test_criterion_10_partition_lemma_and_lifted_reduction_inequality():
-    def partitions(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(total, 0, -1):
-            for rest in partitions(total - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
     for d_l in range(1, 25):
         for total in range(1, d_l + 1):
-            for part in partitions(total):
+            seen = set()
+            for part in R.partitions(total):
+                assert sum(part) == total and part[0] >= 1 and part == sorted(part)
+                seen.add(tuple(part))
                 prod = 1
                 for f in part:
                     prod *= f
                 assert prod <= 2 ** d_l, (d_l, part)
+            assert len(seen) == R.PARTITION_COUNTS[total], total
 
     rng = random.Random(1729)
     configs = [(2, 1, 1, 1, ()), (3, 1, 5, 1, ((2, 1),)),

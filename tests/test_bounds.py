@@ -335,27 +335,20 @@ def test_up_at_low_precision_dominates_up_at_high_precision():
 
 # ---- the lifted-discriminant reduction ----
 
-def all_partitions(total):
-    """Every multiset of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(total, 0, -1):
-        for rest in all_partitions(total - first):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
-
-
 def test_residue_degree_product_lemma_exhaustive():
     checked = 0
     for d_l in range(1, 25):
         for total in range(1, d_l + 1):
-            for part in all_partitions(total):
+            count = 0
+            for part in R.partitions(total):
+                assert sum(part) == total and part[0] >= 1 and part == sorted(part)
                 prod = 1
                 for f in part:
                     prod *= f
                 assert prod <= 2 ** d_l, (d_l, part)
-                checked += 1
+                count += 1
+            assert count == R.PARTITION_COUNTS[total], total
+            checked += count
     assert checked > 10**4
 
 

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from jbound import invariants
 from jbound.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INAPPLICABLE,
     EXIT_OK,
     EXIT_SPEC_ERROR,
+    MAX_PRECISION,
     JobSpec,
     build_report,
     main,
@@ -56,6 +58,29 @@ def test_exit_spec_error(capsys):
         code, _out, err = run(capsys, *argv)
         assert code == EXIT_SPEC_ERROR, argv
         assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lnc_is_spec_error(capsys, value):
+    code, out, err = run(capsys, "bound", "--level", "11", f"--lnC={value}")
+    assert code == EXIT_SPEC_ERROR
+    assert out == "" and "lnC must be finite" in err
+
+
+def test_residue_degree_above_field_degree_is_spec_error(capsys):
+    code, _out, err = run(capsys, "bound", "--level", "11", "--place", "3^5",
+                          "--degree", "2")
+    assert code == EXIT_SPEC_ERROR
+    assert "exceeds the field degree" in err
+
+
+def test_precision_above_the_cap_is_spec_error(capsys):
+    code, _out, err = run(capsys, "bound", "--level", "11", "--precision", "100000000")
+    assert code == EXIT_SPEC_ERROR
+    assert str(MAX_PRECISION) in err
+    code, _out, _err = run(capsys, "bound", "--level", "11",
+                           "--precision", str(MAX_PRECISION))
+    assert code == EXIT_OK
 
 
 def test_exit_cap_exceeded(capsys):
@@ -179,6 +204,35 @@ def test_spec_malformed_json(tmp_path, capsys):
     assert code == EXIT_SPEC_ERROR
 
 
+def test_spec_integer_beyond_the_str_to_int_limit(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text('{"level": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, "invariants", "--spec", str(path))
+    assert code == EXIT_SPEC_ERROR
+    assert out == "" and "cannot read job spec" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"level": 17.9}, "level must be an integer"),
+    ({"level": 11, "places": [[2, 1.5]]}, "residue degree must be an integer"),
+    ({"level": 11, "places": [["x", 1]]}, "place prime must be an integer"),
+    ({"level": 11, "degree": 2.5}, "degree must be an integer"),
+    ({"level": 11, "precision": 256.0}, "precision must be an integer"),
+    ({"level": True}, "level must be an integer"),
+    ({"level": 11, "places": 5}, "places must be a list"),
+    ({"level": 11, "gens": 5}, "gens must be a string"),
+    ({"level": 11, "gens": []}, "gens must be a string"),
+    ({"level": 11, "lnC": float("nan")}, "lnC must be finite"),
+    ({"level": 11, "lnC": "inf"}, "lnC must be finite"),
+])
+def test_spec_values_are_strict(tmp_path, capsys, doc, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--spec", str(path))
+    assert code == EXIT_SPEC_ERROR, doc
+    assert out == "" and message in err, doc
+
+
 def test_spec_from_stdin():
     proc = subprocess.run(
         [sys.executable, "-m", "jbound", "invariants", "--spec", "-"],
@@ -229,6 +283,36 @@ def test_json_invariants_has_no_bound(capsys):
     doc = json.loads(out)
     assert doc["bound"] is None
     assert doc["command"] == "invariants"
+
+
+# ---- each image's invariants once ----
+
+@pytest.mark.parametrize("kind, n, job", [
+    ("gamma0", 17, lambda: main(["bound", "--level", "17", "--subgroup", "gamma0"])),
+    ("gamma1", 13, lambda: render_tables("gamma1", 13, 13, False)),
+])
+def test_job_counts_each_images_cusps_once(monkeypatch, capsys, kind, n, job):
+    """A job counts the cusps of H and of its tilde once each, and an
+    identical second job reads every invariant from the caches."""
+    counted = []
+    cusp_count = invariants.cusp_count
+
+    def counting(H, *args):
+        counted.append(H)
+        return cusp_count(H, *args)
+
+    monkeypatch.setattr(invariants, "cusp_count", counting)
+    for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
+                   invariants.curve_invariants, invariants.tilde_subgroup):
+        cached.cache_clear()
+    job()
+    H = invariants.standard_subgroup(kind, n)
+    tilde = invariants.applicability(H).tilde_image
+    assert H != tilde
+    assert sorted(counted, key=lambda h: h.order) == [tilde, H]
+    job()
+    assert len(counted) == 2
+    capsys.readouterr()
 
 
 # ---- tables ----

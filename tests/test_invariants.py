@@ -18,7 +18,6 @@ from jbound.invariants import (
     cusp_count,
     elliptic_counts,
     forces_three_cusps,
-    genus,
     psl_index,
     standard_subgroup,
     tilde_subgroup,
@@ -124,10 +123,10 @@ def test_stabilizer_generator_orders():
 # ---- genus and the index identity ----
 
 def test_genus_examples():
-    assert genus(standard_subgroup(SubgroupKind.GAMMA0, 11)) == 1
-    assert genus(closure(7, [])) == 3
+    assert curve_invariants(standard_subgroup(SubgroupKind.GAMMA0, 11)).genus == 1
+    assert curve_invariants(closure(7, [])).genus == 3
     for n in (2, 3, 4, 5, 6, 7):
-        assert genus(standard_subgroup(SubgroupKind.FULL, n)) == 0
+        assert curve_invariants(standard_subgroup(SubgroupKind.FULL, n)).genus == 0
 
 
 def test_curve_invariants_rejects_inconsistent_data():

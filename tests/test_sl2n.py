@@ -1,4 +1,4 @@
-"""Arithmetic in SL2(Z/N): enumeration, closure, cosets."""
+"""Arithmetic in SL2(Z/N): enumeration, closure, the +-1 image."""
 
 import random
 from math import gcd
@@ -11,7 +11,6 @@ from jbound.sl2n import (
     Mat,
     SubgroupImage,
     closure,
-    coset_reps,
     element_order,
     enumerate_group,
     group_order,
@@ -149,30 +148,6 @@ def test_pm_elements_doubles_only_without_minus_i():
     full = SubgroupImage.from_elements(5, enumerate_group(5),
                                        [Mat(5, 0, 4, 1, 0), Mat(5, 1, 1, 0, 1)])
     assert pm_elements(full) == full.elements
-
-
-def test_coset_reps_counts_and_partition():
-    full = SubgroupImage.from_elements(3, enumerate_group(3),
-                                       [Mat(3, 0, 2, 1, 0), Mat(3, 1, 1, 0, 1)])
-    assert len(coset_reps(full)) == 1
-
-    trivial5 = closure(5, [])
-    reps = coset_reps(trivial5)
-    assert len(reps) == group_order(5) // 2
-
-    # gamma0(5) image: index 6 in PSL2(Z/5)
-    elems = [Mat.make(5, a, b, 0, pow(a, -1, 5))
-             for a in (1, 2, 3, 4) for b in range(5)]
-    g0 = SubgroupImage.from_elements(5, elems)
-    reps = coset_reps(g0)
-    assert len(reps) == 6
-    seen = set()
-    hpm = pm_elements(g0)
-    for r in reps:
-        coset = {mat_mul(h, r) for h in hpm}
-        assert not (coset & seen)
-        seen |= coset
-    assert seen == enumerate_group(5)
 
 
 def test_subgroup_equality_is_by_level_and_elements():
