@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .invariants import Verdict, applicability
 from .numtheory import b_of, d_n, euler_phi, is_prime, m_of
-from .sl2n import ENUMERATION_CAP, SubgroupImage
+from .sl2n import SubgroupImage
 from .xreal import DEFAULT_PREC, Rounding, XReal
 
 __all__ = [
@@ -288,10 +288,9 @@ def bound_main1(n: int, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
 
 
 def bound_auto(H: SubgroupImage, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
-               rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC,
-               cap: int = ENUMERATION_CAP) -> BoundReport:
+               rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> BoundReport:
     """Dispatch on the applicability verdict of H's curve."""
-    app = applicability(H, cap)
+    app = applicability(H)
     if app.verdict is Verdict.MAIN_DIRECT:
         return bound_main(H.level, field, sset, ln_c, rounding, prec)
     if app.verdict is Verdict.MAIN_VIA_TILDE:

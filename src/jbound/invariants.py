@@ -25,7 +25,8 @@ family's exact order: none for Gamma(N), T for Gamma1(N), T and diag(u, u^-1)
 over a greedy generating set of units u for Gamma0(N), and S and T for
 SL2(Z/N).  applicability reads the invariants of H and of
 its tilde once, through the cached curve_invariants, and returns both, so
-callers never count cusps themselves.
+callers never count cusps themselves.  Every image is built by sl2n.closure,
+which refuses a level above the cap, so nothing here checks the cap again.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from math import gcd
 
 from .numtheory import euler_phi, prime_factors
 from .sl2n import (
-    ENUMERATION_CAP,
-    CapExceeded,
     Mat,
     SubgroupImage,
     closure,
@@ -100,37 +99,34 @@ class Applicability:
 
 
 @lru_cache(maxsize=None)
-def standard_subgroup(kind: SubgroupKind | str, n: int,
-                      cap: int = ENUMERATION_CAP) -> SubgroupImage:
+def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     """The image of a classical family at level n: the closure of the
-    family's generators, checked against the family's exact order."""
+    family's generators, checked against the family's exact order.  A level
+    above the cap is refused by the first closure, before n is factored."""
     kind = SubgroupKind(kind)
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
     t = Mat(n, 1, 1, 0, 1)
     if kind is SubgroupKind.PRINCIPAL:
-        gens, order = [], 1
+        gens = []
     elif kind is SubgroupKind.GAMMA1:
-        gens, order = [t], n
+        gens = [t]
     elif kind is SubgroupKind.GAMMA0:
-        units = frozenset(Mat(n, u, 0, 0, pow(u, -1, n))
-                          for u in range(1, n) if gcd(u, n) == 1)
-        gens, order = [t, *greedy_generators(n, units)], n * euler_phi(n)
+        units = (Mat(n, u, 0, 0, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1)
+        gens = [t, *greedy_generators(n, units)]
     else:  # FULL
-        gens, order = [Mat(n, 0, n - 1, 1, 0), t], group_order(n)
-    if order > cap:
-        raise CapExceeded(f"subgroup order {order} exceeds the cap {cap}")
-    H = closure(n, gens, cap)
+        gens = [Mat(n, 0, n - 1, 1, 0), t]
+    H = closure(n, gens)
+    order = {SubgroupKind.PRINCIPAL: 1, SubgroupKind.GAMMA1: n,
+             SubgroupKind.GAMMA0: n * euler_phi(n), SubgroupKind.FULL: group_order(n)}[kind]
     if H.order != order:
         raise AssertionError(f"internal: {kind.value} generators give the wrong order")
     return H
 
 
-def cusp_count(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> int:
+def cusp_count(H: SubgroupImage) -> int:
     """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1."""
     n = H.level
-    if n * n > cap:
-        raise CapExceeded(f"vector sweep size {n * n} exceeds the cap {cap}")
     action = [(m.a, m.b, m.c, m.d) for m in H.generators] + [(n - 1, 0, 0, n - 1)]
     seen: set[tuple[int, int]] = set()
     count = 0
@@ -188,7 +184,7 @@ def _unpack(n: int, key: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def elliptic_counts(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> EllipticData:
+def elliptic_counts(H: SubgroupImage) -> EllipticData:
     """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
 
     The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
@@ -198,8 +194,6 @@ def elliptic_counts(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> EllipticDat
     that the elliptic elements of <H, -I>, each signed into H, generate."""
     n = H.level
     order = group_order(n)
-    if order > cap:
-        raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
     hset = _packed(n, H.elements)
     hpm = _packed(n, pm_elements(H))
     nus = []
@@ -213,7 +207,7 @@ def elliptic_counts(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> EllipticDat
         for key in found:
             m = _unpack(n, key)
             signed.add(m if key in hset else mat_neg(m))
-    return EllipticData(nus[0], nus[1], greedy_generators(n, frozenset(signed)))
+    return EllipticData(nus[0], nus[1], greedy_generators(n, sorted(signed)))
 
 
 def psl_index(H: SubgroupImage) -> int:
@@ -226,10 +220,10 @@ def psl_index(H: SubgroupImage) -> int:
 
 
 @lru_cache(maxsize=None)
-def curve_invariants(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> CurveInvariants:
+def curve_invariants(H: SubgroupImage) -> CurveInvariants:
     mu = psl_index(H)
-    nu_inf = cusp_count(H, cap)
-    ell = elliptic_counts(H, cap)
+    nu_inf = cusp_count(H)
+    ell = elliptic_counts(H)
     g12, rem = divmod(12 + mu - 3 * ell.nu2 - 4 * ell.nu3 - 6 * nu_inf, 12)
     if rem:
         raise AssertionError("internal: genus formula did not give an integer")
@@ -237,15 +231,15 @@ def curve_invariants(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> CurveInvar
 
 
 @lru_cache(maxsize=None)
-def tilde_subgroup(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> SubgroupImage:
+def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
     it to.  No elliptic elements means the trivial image."""
-    ell = elliptic_counts(H, cap)
+    ell = elliptic_counts(H)
     gens = list(ell.stabilizer_generators)
     if gens and H.contains_minus_i:
         gens.append(minus_identity(H.level))
-    return closure(H.level, gens, cap)
+    return closure(H.level, gens)
 
 
 def forces_three_cusps(G: SubgroupImage) -> bool:
@@ -262,12 +256,12 @@ def forces_three_cusps(G: SubgroupImage) -> bool:
     return 4 * len(G.elements) < rhs
 
 
-def applicability(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> Applicability:
+def applicability(H: SubgroupImage) -> Applicability:
     """Which bound route applies: the subgroup's own curve having >= 3 cusps,
     the elliptic-stabilizer subgroup's curve having >= 3 cusps, or neither."""
-    inv = curve_invariants(H, cap)
-    tilde = tilde_subgroup(H, cap)
-    tinv = curve_invariants(tilde, cap)
+    inv = curve_invariants(H)
+    tilde = tilde_subgroup(H)
+    tinv = curve_invariants(tilde)
     crit = forces_three_cusps(tilde)
     if inv.nu_inf >= 3:
         verdict = Verdict.MAIN_DIRECT
@@ -278,17 +272,13 @@ def applicability(H: SubgroupImage, cap: int = ENUMERATION_CAP) -> Applicability
     return Applicability(verdict, inv, tilde, tinv, crit)
 
 
-def verify_unramified(H: SubgroupImage, G: SubgroupImage,
-                      cap: int = ENUMERATION_CAP) -> bool:
+def verify_unramified(H: SubgroupImage, G: SubgroupImage) -> bool:
     """True when the covering of curves attached to G inside <H, -I> is
     unramified away from the cusps: every conjugate of s or t that lands in
     <H, -I> must already land in <G, -I>."""
     if H.level != G.level:
         raise ValueError("subgroups must share a level")
     n = H.level
-    order = group_order(n)
-    if order > cap:
-        raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
     hpm = _packed(n, pm_elements(H))
     gpm = _packed(n, pm_elements(G))
     if not gpm <= hpm:

@@ -23,7 +23,7 @@ ENUMERATION_CAP = 10_000_000
 
 
 class CapExceeded(RuntimeError):
-    """An operation would enumerate more group elements than the configured cap."""
+    """|SL2(Z/N)| exceeds the cap; ``closure`` refuses such a level before any work."""
 
 
 class Mat(NamedTuple):
@@ -104,11 +104,15 @@ def iter_group(n: int) -> Iterator[Mat]:
                 d = (d + c) % n
 
 
+def _admit_level(n: int, cap: int) -> None:
+    # |SL2(Z/n)| > (6/pi^2) n^3 > n^3 / 2, so n^3 > 2 cap refuses n before factoring it
+    if n ** 3 > 2 * cap or group_order(n) > cap:
+        raise CapExceeded(f"|SL2(Z/{n})| exceeds the cap {cap}")
+
+
 def enumerate_group(n: int, cap: int = ENUMERATION_CAP) -> frozenset[Mat]:
     """The full element set of SL2(Z/n); refuses when the order exceeds the cap."""
-    order = group_order(n)
-    if order > cap:
-        raise CapExceeded(f"|SL2(Z/{n})| = {order} exceeds the cap {cap}")
+    _admit_level(n, cap)
     return frozenset(iter_group(n))
 
 
@@ -155,8 +159,9 @@ class SubgroupImage:
         for m in elems:
             if not isinstance(m, Mat) or m.n != level:
                 raise ValueError(f"element at wrong level: {m!r}")
-        gens = tuple(generators) if generators is not None else greedy_generators(level, elems)
-        sub = closure(level, gens)
+        if generators is None:
+            generators = greedy_generators(level, sorted(elems))
+        sub = closure(level, generators)
         if sub.elements != elems:
             raise ValueError("generators do not generate the element set")
         return sub
@@ -168,6 +173,7 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
     Breadth-first over right multiplication; in a finite group this closure
     is automatically a subgroup (inverses are powers).
     """
+    _admit_level(n, cap)
     gen_list = []
     for g in gens:
         if g.n != n:
@@ -183,21 +189,18 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
             nxt = Mat(n, (a * e + b * g) % n, (a * f + b * h) % n,
                       (c * e + d * g) % n, (c * f + d * h) % n)
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        f"subgroup closure at level {n} exceeds the cap {cap}")
                 seen.add(nxt)
                 queue.append(nxt)
     return SubgroupImage(n, frozenset(seen), tuple(gen_list),
                          minus_identity(n) in seen)
 
 
-def greedy_generators(level: int, elems: frozenset) -> tuple:
-    """A deterministic small generating set of the subgroup that ``elems``
-    generate: scan them in sorted order and keep those not yet generated."""
+def greedy_generators(level: int, elems: Iterable[Mat]) -> tuple:
+    """A small generating set of the subgroup that ``elems`` generate: scan them
+    lazily, in the given order, and keep those not yet generated."""
     gens: list[Mat] = []
     current = {identity(level)}
-    for e in sorted(elems):
+    for e in elems:
         if e not in current:
             gens.append(e)
             current = set(closure(level, gens).elements)

@@ -90,6 +90,34 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--level", "1500", "--subgroup", "gamma1"),
+    ("invariants", "--level", "300", "--gens", "0,299,1,0;1,1,0,1"),
+    ("bound", "--level", str(2 ** 127 - 1)),
+    ("invariants", "--level", str(2 ** 127 - 1), "--subgroup", "full"),
+    ("tables", "--from", str(2 ** 127 - 1), "--to", str(2 ** 127 + 1)),
+], ids=["gamma1-1500", "gens-300", "bound-2^127-1", "full-2^127-1", "tables-2^127-1"])
+def test_oversized_level_is_refused_before_any_sweep(monkeypatch, capsys, argv):
+    """The level is refused before a cusp sweep, a closure or a factorisation
+    of the level starts: the S, T closure at level 300 would build 10^7
+    matrices, and 2^127 - 1 is a prime that trial division never factors."""
+    counted = []
+    monkeypatch.setattr(invariants, "cusp_count", counted.append)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == "" and "exceeds the cap" in err
+    assert counted == []
+
+
+@pytest.mark.parametrize("family", ["gamma0", "gamma1", "gamma"])
+def test_cap_boundary_is_the_order_of_sl2(capsys, family):
+    # |SL2(Z/240)| = 8847360 and |SL2(Z/241)| = 13997280 around the cap 10^7
+    code, out, _err = run(capsys, "invariants", "--level", "240", "--subgroup", family)
+    assert code == EXIT_OK and out.startswith(f"subgroup {family} level 240\n")
+    code, out, _err = run(capsys, "invariants", "--level", "241", "--subgroup", family)
+    assert code == EXIT_CAP_EXCEEDED and out == ""
+
+
 def test_tilde_from_every_elliptic_element(capsys):
     # one conjugate of s per elliptic coset generates only an order-4
     # subgroup here, which would have 3 cusps but ramifies over H

@@ -1,0 +1,112 @@
+"""Fuzz of the command line: every argv ends in a documented exit code.
+
+Levels are either admissible and small (2..64) or far above the cap, so
+that each example stays one fast job.  Primality checks use trial
+division, so ``--primes-only`` tables and place primes stay small.
+"""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jbound import invariants
+from jbound.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def mostly(valid, invalid):
+    """``valid`` seven times in eight, so that most jobs get past parsing."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else invalid)
+
+
+SMALL_LEVEL = st.integers(2, 64)
+# |SL2(Z/N)| > (6/pi^2) N^3 exceeds the cap 10^7 for every N >= 255
+HUGE_LEVEL = st.one_of(
+    st.integers(255, 10 ** 40),
+    st.sampled_from([2 ** 127 - 1, 10 ** 15 + 37, 3 ** 200, 10 ** 4000]))
+BAD_NUMBER = st.sampled_from(["", "x", "0", "1", "-7", "1e3", "17.9", "0x11"])
+
+LEVEL_TEXT = mostly(st.one_of(SMALL_LEVEL, HUGE_LEVEL).map(str), BAD_NUMBER)
+FAMILY = mostly(st.sampled_from(["gamma0", "gamma1", "gamma", "full"]), st.just("borel"))
+MATRIX = mostly(
+    st.sampled_from(["0,-1,1,0", "1,1,0,1", "1,0,1,1", "-1,0,0,-1", "2,1,1,1", "3,2,1,1"]),
+    st.lists(st.one_of(st.integers(-3, 70).map(str), st.sampled_from(["", "x", "1.5"])),
+             min_size=3, max_size=5).map(",".join))
+GENS_TEXT = mostly(st.lists(MATRIX, min_size=1, max_size=3).map(";".join),
+                   st.sampled_from(["", ";", " ; "]))
+PRECISION_TEXT = mostly(
+    st.sampled_from(["8", "53", "128", "200", "1024", "8192"]),
+    st.one_of(st.sampled_from(["7", "8193", "-1", "1e3", "x"]),
+              st.integers(-(10 ** 30), 10 ** 30).map(str)))
+LNC_TEXT = mostly(
+    st.one_of(st.sampled_from(["0", "2.5", "-1e300", "1e308"]),
+              st.floats(-1e6, 1e6).map(repr)),
+    st.one_of(st.sampled_from(["1e999", "nan", "-inf", "x", ""]),
+              st.floats().map(repr)))
+PLACE_TEXT = mostly(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 97, 7919]), st.integers(1, 3))
+    .map(lambda pf: f"{pf[0]}^{pf[1]}"),
+    st.one_of(st.integers(-3, 10 ** 6).map(str),
+              st.tuples(st.integers(-3, 200), st.integers(-2, 12))
+              .map(lambda pf: f"{pf[0]}^{pf[1]}"),
+              st.sampled_from(["", "^", "3^", "^2", "x", "2^x", "3^2^1"])))
+
+
+@st.composite
+def job_argv(draw):
+    argv = [draw(st.sampled_from(["invariants", "bound"])), f"--level={draw(LEVEL_TEXT)}"]
+    if draw(st.booleans()):
+        argv.append(f"--gens={draw(GENS_TEXT)}")
+    else:
+        argv.append(f"--subgroup={draw(FAMILY)}")
+    if draw(st.booleans()):
+        argv.append(f"--precision={draw(PRECISION_TEXT)}")
+    if draw(st.booleans()):
+        argv.append(f"--lnC={draw(LNC_TEXT)}")
+    for place in draw(st.lists(PLACE_TEXT, max_size=2)):
+        argv.append(f"--place={place}")
+    if draw(st.booleans()):
+        argv.append(f"--degree={draw(mostly(st.integers(1, 4), st.integers(-1, 0)))}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@st.composite
+def tables_argv(draw):
+    if draw(st.booleans()):
+        start = draw(SMALL_LEVEL)
+        primes_only = draw(st.booleans())
+    else:
+        start = draw(HUGE_LEVEL)
+        primes_only = False
+    stop = start + draw(st.integers(-1, 1))
+    argv = ["tables", f"--family={draw(FAMILY)}", f"--from={start}", f"--to={stop}"]
+    if primes_only:
+        argv.append("--primes-only")
+    return argv
+
+
+ARGV = mostly(st.one_of(job_argv(), job_argv(), tables_argv()),
+              st.lists(st.sampled_from(["bound", "--level", "5", "--bogus", "-h"]),
+                       max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=ARGV)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        # one job's images at a time, not every level's SL2(Z/N) at once
+        for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
+                       invariants.curve_invariants, invariants.tilde_subgroup):
+            cached.cache_clear()
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

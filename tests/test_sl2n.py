@@ -119,6 +119,15 @@ def test_closure_respects_cap():
         closure(97, [Mat(97, 0, 96, 1, 0), Mat(97, 1, 1, 0, 1)], cap=100)
 
 
+@pytest.mark.parametrize("n", [2, 12, 97])
+def test_closure_refuses_the_level_before_work(n):
+    # the closure of T has only n elements; the cap is on |SL2(Z/n)|
+    t = Mat(n, 1, 1, 0, 1)
+    with pytest.raises(CapExceeded):
+        closure(n, [t], cap=group_order(n) - 1)
+    assert closure(n, [t], cap=group_order(n)).order == n
+
+
 def test_contains_minus_i_flag():
     assert closure(5, [minus_identity(5)]).contains_minus_i
     assert not closure(5, []).contains_minus_i
