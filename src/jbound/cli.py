@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bounds import (
     BoundReport,
@@ -412,8 +413,11 @@ def render_tables(family: str, start: int, stop: int, primes_only: bool) -> str:
               f"{'nu3':>3} {'genus':>5} {'tildeOrd':>8} {'tildeNuInf':>10} verdict")
     rows = [header]
     for n in range(max(start, 2), stop + 1):
-        if primes_only and not is_prime(n):
-            continue
+        try:
+            if primes_only and not is_prime(n):
+                continue
+        except ValueError as exc:  # a probable prime that cannot be certified
+            raise SpecError(str(exc)) from exc
         app = applicability(standard_subgroup(kind, n))
         inv = app.invariants
         rows.append(
@@ -443,6 +447,9 @@ def _add_job_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit the JSON report")
 
 
+# Built on the first call and reused: parse_args returns a fresh namespace
+# each time and an append action copies its list before extending it.
+@lru_cache(maxsize=1)
 def _make_parser() -> _Parser:
     parser = _Parser(
         prog="jbound",

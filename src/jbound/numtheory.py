@@ -1,9 +1,17 @@
 """Exact elementary number theory shared by the group and bound layers.
 
 Everything here is integer arithmetic: factorization by trial division
-(inputs stay small enough that nothing fancier is warranted), Euler phi,
-the order of SL2 over Z/n, and the two derived level quantities used by
-the bound formulas.
+(levels stay small enough that nothing fancier is warranted), a primality
+test, Euler phi, the order of SL2 over Z/n, and the two derived level
+quantities used by the bound formulas.
+
+Place primes and ``tables --primes-only`` levels are not capped, so
+``is_prime`` does not factor: it runs the strong (Miller-Rabin) test to the
+13 prime bases 2..41, which no composite below
+3317044064679887385961981 passes (Sorenson and Webster, *Strong
+pseudoprimes to twelve prime bases*, Math. Comp. 86 (2017)).  Above that
+bound a number that passes every base is refused with a ``ValueError``
+rather than declared prime.
 """
 
 from __future__ import annotations
@@ -36,8 +44,40 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+    """Whether n is prime; exact for n < 3317044064679887385961981.
+
+    Above that bound a composite is still refuted when a base witnesses it,
+    and a number that passes every base raises ``ValueError``.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < _MR_EXACT_BELOW:
+        return True
+    raise ValueError(
+        f"cannot certify primality of {n}: it passes the strong test to the "
+        f"bases 2..41, which is exact only below {_MR_EXACT_BELOW}")
 
 
 def euler_phi(n: int) -> int:

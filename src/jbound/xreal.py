@@ -17,6 +17,11 @@ Soundness rules enforced by the operations:
 * ``log``/``exp`` are increasing, so the side passes through; their results
   are padded outward by 16 units in the last place of a 32-bit-wider working
   precision, which strictly dominates the to-nearest evaluation error.
+
+The to-nearest logarithm is memoised per (payload, working precision) in a
+bounded cache, so an Up and a Down log of the same payload share one entry;
+the outward pad is applied per call.  ``mpf_log`` is a deterministic function
+of its arguments, so the memo changes no payload.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.libmp import (
     fone,
@@ -52,6 +58,16 @@ _PAD_SHIFT = 4  # pad = 2**_PAD_SHIFT = 16 ulps at working precision
 # exp() refuses inputs above ~2**(2**28): the result's exponent integer alone
 # would need more than 32 MB.  Quantities past this point must stay in log form.
 _EXP_MAGNITUDE_LIMIT = 1 << 28
+
+
+# A bound job takes about ten logarithms of small integers and level
+# quantities, and a long-lived caller repeats most of them.  At the largest
+# precision the CLI admits (8192 bits) an entry is about 2 KB, so the bound
+# keeps the memo near 2-3 MB.
+@lru_cache(maxsize=1024)
+def _log_nearest(raw: tuple, wp: int) -> tuple:
+    """ln of a positive mpf payload, rounded to nearest at ``wp`` bits."""
+    return mpf_log(raw, wp, "n")
 
 
 class Rounding(enum.Enum):
@@ -199,7 +215,7 @@ class XReal:
         _require(man != 0 and sign == 0, "log requires a strictly positive payload")
         if self.raw == fone:
             return XReal(fzero, self.rounding, self.prec)
-        return self._padded(mpf_log(self.raw, self.prec + _GUARD_BITS, "n"))
+        return self._padded(_log_nearest(self.raw, self.prec + _GUARD_BITS))
 
     def exp(self) -> "XReal":
         if self.raw == fzero:

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from jbound import invariants
+from jbound import cli, invariants
 from jbound.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INAPPLICABLE,
@@ -107,6 +108,20 @@ def test_oversized_level_is_refused_before_any_sweep(monkeypatch, capsys, argv):
     assert code == EXIT_CAP_EXCEEDED
     assert out == "" and "exceeds the cap" in err
     assert counted == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--level", "11", "--place", str(2 ** 127 - 1)),
+    ("tables", "--primes-only", "--from", str(2 ** 127 - 1), "--to", str(2 ** 127 - 1)),
+], ids=["place-2^127-1", "tables-primes-only-2^127-1"])
+def test_uncertifiable_prime_is_spec_error_at_once(capsys, argv):
+    """2^127 - 1 is prime, but above the bound where the primality test is
+    exact, so it is refused without factoring."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_SPEC_ERROR
+    assert out == "" and "cannot certify primality" in err
 
 
 @pytest.mark.parametrize("family", ["gamma0", "gamma1", "gamma"])
@@ -270,6 +285,26 @@ def test_spec_from_stdin():
     assert "mu 12  nuInf 2" in proc.stdout
 
 
+def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
+    """The parser is built once per process; no argument of one call may
+    reach the next, whether that call succeeded, failed or printed help."""
+    sequence = [
+        ("bound", "--level", "11", "--place", "2", "--json"),
+        ("bound", "--level", "11", "--bogus"),
+        ("bound", "--help"),
+        ("bound", "--level", "11", "--json"),
+    ]
+    cli._make_parser.cache_clear()
+    warm = [run(capsys, *argv) for argv in sequence]
+    assert cli._make_parser.cache_info().hits == len(sequence) - 1
+    assert [code for code, _out, _err in warm] == [EXIT_OK, EXIT_SPEC_ERROR, 0, EXIT_OK]
+    for argv, got in zip(sequence, warm):
+        cli._make_parser.cache_clear()
+        assert run(capsys, *argv) == got, argv
+    assert warm[0][1] != warm[3][1]  # a leaked place would show
+    assert warm[2][1].startswith("usage:")
+
+
 # ---- JSON report ----
 
 def test_json_report_round_trip():
@@ -359,9 +394,14 @@ def test_tables_primes_only(capsys):
     code, out, _err = run(capsys, "tables", "--family", "gamma0",
                           "--from", "2", "--to", "30", "--primes-only")
     assert code == EXIT_OK
-    body = out.splitlines()[1:]
+    header, *body = out.splitlines()
     levels = [int(line.split()[1]) for line in body]
     assert levels == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # a huge composite level is skipped before the level is refused
+    code, out, _err = run(capsys, "tables", "--primes-only",
+                          "--from", str(10 ** 30), "--to", str(10 ** 30))
+    assert code == EXIT_OK
+    assert out.splitlines() == [header]
 
 
 def test_tables_match_goldens(capsys):

@@ -1,8 +1,9 @@
 """Fuzz of the command line: every argv ends in a documented exit code.
 
 Levels are either admissible and small (2..64) or far above the cap, so
-that each example stays one fast job.  Primality checks use trial
-division, so ``--primes-only`` tables and place primes stay small.
+that each example stays one fast job.  Place primes and ``--primes-only``
+levels go up to 10^40, past the bound below which the primality test is
+exact; a probable prime above it must exit 3.
 """
 
 import contextlib
@@ -23,10 +24,12 @@ def mostly(valid, invalid):
 
 
 SMALL_LEVEL = st.integers(2, 64)
+# primes below and above 3317044064679887385961981, where is_prime stops
+# being exact
+BIG_PRIMES = [10 ** 15 + 37, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1]
 # |SL2(Z/N)| > (6/pi^2) N^3 exceeds the cap 10^7 for every N >= 255
-HUGE_LEVEL = st.one_of(
-    st.integers(255, 10 ** 40),
-    st.sampled_from([2 ** 127 - 1, 10 ** 15 + 37, 3 ** 200, 10 ** 4000]))
+LARGE_LEVEL = st.one_of(st.integers(255, 10 ** 40), st.sampled_from(BIG_PRIMES))
+HUGE_LEVEL = st.one_of(LARGE_LEVEL, st.sampled_from([3 ** 200, 10 ** 4000]))
 BAD_NUMBER = st.sampled_from(["", "x", "0", "1", "-7", "1e3", "17.9", "0x11"])
 
 LEVEL_TEXT = mostly(st.one_of(SMALL_LEVEL, HUGE_LEVEL).map(str), BAD_NUMBER)
@@ -47,9 +50,9 @@ LNC_TEXT = mostly(
     st.one_of(st.sampled_from(["1e999", "nan", "-inf", "x", ""]),
               st.floats().map(repr)))
 PLACE_TEXT = mostly(
-    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 97, 7919]), st.integers(1, 3))
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 97, 7919] + BIG_PRIMES), st.integers(1, 3))
     .map(lambda pf: f"{pf[0]}^{pf[1]}"),
-    st.one_of(st.integers(-3, 10 ** 6).map(str),
+    st.one_of(st.integers(-3, 10 ** 40).map(str),
               st.tuples(st.integers(-3, 200), st.integers(-2, 12))
               .map(lambda pf: f"{pf[0]}^{pf[1]}"),
               st.sampled_from(["", "^", "3^", "^2", "x", "2^x", "3^2^1"])))
@@ -77,12 +80,9 @@ def job_argv(draw):
 
 @st.composite
 def tables_argv(draw):
-    if draw(st.booleans()):
-        start = draw(SMALL_LEVEL)
-        primes_only = draw(st.booleans())
-    else:
-        start = draw(HUGE_LEVEL)
-        primes_only = False
+    primes_only = draw(st.booleans())
+    # a primality test of a 4000-digit level takes seconds
+    start = draw(st.one_of(SMALL_LEVEL, LARGE_LEVEL if primes_only else HUGE_LEVEL))
     stop = start + draw(st.integers(-1, 1))
     argv = ["tables", f"--family={draw(FAMILY)}", f"--from={start}", f"--to={stop}"]
     if primes_only:

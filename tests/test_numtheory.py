@@ -31,6 +31,34 @@ def test_is_prime():
              if all(p % q for q in range(2, p))}
     assert primes == sieve
     assert not is_prime(1)
+    for n in range(-2, 2 * 10**5):
+        assert is_prime(n) == (n >= 2 and prime_factors(n) == (n,)), n
+
+
+# Sorenson-Webster: the first composite that passes the strong test to
+# every prime base 2..41 is PSI_13; below it the test is exact.
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refutes_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37: the first
+    # base to witness each is 11, 37 and 41
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert not is_prime(10**30)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_is_prime_decides_large_primes_below_the_exact_bound():
+    # the least prime above 10^15, and two Mersenne primes
+    for p in (10**15 + 37, 2**31 - 1, 2**61 - 1):
+        assert is_prime(p), p
+
+
+def test_is_prime_refuses_what_it_cannot_certify():
+    for n in (PSI_13, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="cannot certify primality"):
+            is_prime(n)
 
 
 def test_euler_phi():

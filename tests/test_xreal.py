@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath.libmp import from_int, mpf_exp, mpf_log, mpf_mul, to_str
+from mpmath.libmp import from_int, from_man_exp, mpf_exp, mpf_log, mpf_mul, to_str
 
 from jbound.xreal import (
+    _GUARD_BITS,
     DEFAULT_PREC,
     ExponentOverflow,
     Rounding,
     XReal,
+    _log_nearest,
     payload_rel_diff,
 )
 
@@ -119,35 +121,92 @@ def test_log_rejects_nonpositive_payload():
 
 # ---- log/exp enclosure against a much more precise reference ----
 
-def _nearest_fraction(op, raw, bits=300):
+def _nearest_fraction(op, raw, bits):
     man_exp = op(raw, bits, "n")
     sign, man, exp, bc = man_exp
     q = Fraction(man, 1) * Fraction(2) ** exp
     return -q if sign else q
 
 
+# 4096 bits is above mpmath's 2500-bit Taylor limit, so its logarithm takes
+# the AGM path; one sample in STRIDE is checked at each precision.
+ENCLOSURE_STRIDE = {53: 1, 128: 1, 1024: 4, 4096: 10}
+
+
 def test_log_encloses_high_precision_reference():
     rng = random.Random(99)
-    for _ in range(200):
+    for i in range(200):
         q = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
-        for prec in (53, 128):
+        for prec, stride in ENCLOSURE_STRIDE.items():
+            if i % stride:
+                continue
             xu = XReal.from_fraction(q, UP, prec)
             xd = XReal.from_fraction(q, DOWN, prec)
-            ref_hi = _nearest_fraction(mpf_log, xu.raw)
-            ref_lo = _nearest_fraction(mpf_log, xd.raw)
-            assert xu.log().to_fraction() >= ref_hi
-            assert xd.log().to_fraction() <= ref_lo
+            ref_hi = _nearest_fraction(mpf_log, xu.raw, prec + 300)
+            ref_lo = _nearest_fraction(mpf_log, xd.raw, prec + 300)
+            for _cold_then_warm in range(2):
+                assert xu.log().to_fraction() >= ref_hi
+                assert xd.log().to_fraction() <= ref_lo
 
 
 def test_exp_encloses_high_precision_reference():
     rng = random.Random(1234)
-    for _ in range(200):
+    for i in range(200):
         q = _rand_fraction(rng, small=True) + Fraction(rng.randint(-40, 40))
-        for prec in (53, 128):
+        for prec, stride in ENCLOSURE_STRIDE.items():
+            if i % stride:
+                continue
             xu = XReal.from_fraction(q, UP, prec)
             xd = XReal.from_fraction(q, DOWN, prec)
-            assert xu.exp().to_fraction() >= _nearest_fraction(mpf_exp, xu.raw)
-            assert xd.exp().to_fraction() <= _nearest_fraction(mpf_exp, xd.raw)
+            assert xu.exp().to_fraction() >= _nearest_fraction(mpf_exp, xu.raw, prec + 300)
+            assert xd.exp().to_fraction() <= _nearest_fraction(mpf_exp, xd.raw, prec + 300)
+
+
+# ---- the memoised logarithm ----
+
+def _uncached_log(x):
+    return x._padded(mpf_log(x.raw, x.prec + _GUARD_BITS, "n"))
+
+
+def test_memoised_log_equals_uncached_evaluation():
+    rng = random.Random(4242)
+    samples = {8: 40, 53: 40, 128: 40, 1024: 10, 4096: 3, 8192: 2}
+    xs = []
+    for prec, count in samples.items():
+        for _ in range(count):
+            man = rng.getrandbits(prec) | (1 << (prec - 1))
+            raw = from_man_exp(man, rng.randint(-prec - 200, 200 - prec))
+            xs += [XReal(raw, UP, prec), XReal(raw, DOWN, prec)]
+    _log_nearest.cache_clear()
+    for _cold_then_warm in range(2):
+        for x in xs:
+            got, want = x.log(), _uncached_log(x)
+            assert (got.raw, got.rounding, got.prec) == (want.raw, want.rounding, want.prec)
+    assert _log_nearest.cache_info().hits >= len(xs)
+
+
+def test_up_and_down_log_share_one_memo_entry():
+    _log_nearest.cache_clear()
+    raw = XReal.from_fraction(Fraction(10**9 + 7, 3), UP, 200).raw
+    up = XReal(raw, UP, 200).log()
+    down = XReal(raw, DOWN, 200).log()
+    info = _log_nearest.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert down < up
+
+
+def test_log_memo_is_bounded_and_evicts_safely():
+    maxsize = _log_nearest.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    _log_nearest.cache_clear()
+    first = XReal.from_int(3, UP, 64).log()
+    for k in range(maxsize + 10):
+        XReal.from_int(k + 5, UP, 64).log()
+    info = _log_nearest.cache_info()
+    assert info.currsize == maxsize
+    again = XReal.from_int(3, UP, 64).log()
+    assert _log_nearest.cache_info().misses == info.misses + 1  # evicted, recomputed
+    assert (again.raw, again.rounding, again.prec) == (first.raw, first.rounding, first.prec)
 
 
 def test_log_of_one_and_exp_of_zero_are_exact():
