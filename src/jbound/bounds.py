@@ -15,9 +15,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import Verdict, applicability
+from .invariants import Applicability, Verdict
 from .numtheory import b_of, d_n, euler_phi, is_prime, m_of
-from .sl2n import SubgroupImage
 from .xreal import DEFAULT_PREC, Rounding, XReal
 
 __all__ = [
@@ -287,14 +286,13 @@ def bound_main1(n: int, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
                        2 * s * level * dl, components, notes)
 
 
-def bound_auto(H: SubgroupImage, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
+def bound_auto(app: Applicability, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
                rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> BoundReport:
-    """Dispatch on the applicability verdict of H's curve."""
-    app = applicability(H)
+    """Dispatch on the route verdict ``app`` of H, at the level H shares with its tilde."""
     if app.verdict is Verdict.MAIN_DIRECT:
-        return bound_main(H.level, field, sset, ln_c, rounding, prec)
+        return bound_main(app.tilde_image.level, field, sset, ln_c, rounding, prec)
     if app.verdict is Verdict.MAIN_VIA_TILDE:
-        return bound_main1(H.level, field, sset, ln_c, rounding, prec)
+        return bound_main1(app.tilde_image.level, field, sset, ln_c, rounding, prec)
     raise InapplicableError(app.invariants.nu_inf, app.tilde_invariants.nu_inf)
 
 

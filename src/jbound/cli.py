@@ -249,7 +249,7 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
     if want_bound:
         fieldspec, sset = _field_and_sset(spec)
         # raises InapplicableError when neither route applies
-        bound = bound_auto(H, fieldspec, sset, spec.ln_c,
+        bound = bound_auto(app, fieldspec, sset, spec.ln_c,
                            Rounding.UP, spec.precision_bits)
         warnings.extend(bound.notes)
     return Report(

@@ -9,9 +9,10 @@ element under conjugation by the generators S and T of SL2(Z/N), O(N^2)
 steps where a sweep over the group would take O(N^3).  The elements g with
 g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|, with centralizer order
 |C(s)| = |SL2(Z/N)| / |Cl(s)|, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
-and nu3 likewise with t.  The genus follows from the exact integer identity
-12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only depends on
-<H, -I>, and all counts are taken there.
+and nu3 likewise with t.  The classes are packed keys, like the element
+sets of sl2n, so they meet <H, -I> as they are.  The genus follows from the
+exact integer identity 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve
+only depends on <H, -I>, and all counts are taken there.
 
 The "tilde" subgroup is the subgroup generated by every elliptic element of
 <H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, each taken with the sign that
@@ -25,7 +26,8 @@ family's exact order: none for Gamma(N), T for Gamma1(N), T and diag(u, u^-1)
 over a greedy generating set of units u for Gamma0(N), and S and T for
 SL2(Z/N).  applicability reads the invariants of H and of
 its tilde once, through the cached curve_invariants, and returns both, so
-callers never count cusps themselves.  Every image is built by sl2n.closure,
+callers never count cusps themselves; each of the four invariant caches
+keeps its 64 most recent entries.  Every image is built by sl2n.closure,
 which refuses a level above the cap, so nothing here checks the cap again.
 """
 
@@ -40,6 +42,8 @@ from .numtheory import euler_phi, prime_factors
 from .sl2n import (
     Mat,
     SubgroupImage,
+    _key,
+    _mat,
     closure,
     greedy_generators,
     group_order,
@@ -47,6 +51,8 @@ from .sl2n import (
     minus_identity,
     pm_elements,
 )
+
+_CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 
 
 class SubgroupKind(str, enum.Enum):
@@ -98,7 +104,7 @@ class Applicability:
     sufficient_criterion_holds: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     """The image of a classical family at level n: the closure of the
     family's generators, checked against the family's exact order.  A level
@@ -147,11 +153,6 @@ def cusp_count(H: SubgroupImage) -> int:
     return count
 
 
-def _packed(n: int, mats) -> set[int]:
-    """Matrices as the integers ((a*n + b)*n + c)*n + d."""
-    return {((m.a * n + m.b) * n + m.c) * n + m.d for m in mats}
-
-
 def _conjugacy_class(n: int, x: tuple) -> frozenset:
     """The class of x in SL2(Z/n), packed: its orbit under conjugation by
     S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate SL2(Z/n)."""
@@ -176,14 +177,7 @@ def _elliptic_classes(n: int) -> tuple[frozenset, frozenset]:
             _conjugacy_class(n, (0, n - 1, 1, n - 1)))
 
 
-def _unpack(n: int, key: int) -> Mat:
-    key, d = divmod(key, n)
-    key, c = divmod(key, n)
-    a, b = divmod(key, n)
-    return Mat(n, a, b, c, d)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def elliptic_counts(H: SubgroupImage) -> EllipticData:
     """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
 
@@ -194,8 +188,7 @@ def elliptic_counts(H: SubgroupImage) -> EllipticData:
     that the elliptic elements of <H, -I>, each signed into H, generate."""
     n = H.level
     order = group_order(n)
-    hset = _packed(n, H.elements)
-    hpm = _packed(n, pm_elements(H))
+    hpm = pm_elements(H)
     nus = []
     signed = set()
     for cls in _elliptic_classes(n):
@@ -204,10 +197,10 @@ def elliptic_counts(H: SubgroupImage) -> EllipticData:
         if rem:
             raise AssertionError("internal: elliptic count is not an integer")
         nus.append(nu)
-        for key in found:
-            m = _unpack(n, key)
-            signed.add(m if key in hset else mat_neg(m))
-    return EllipticData(nus[0], nus[1], greedy_generators(n, sorted(signed)))
+        signed.update(key if key in H.elements else _key(mat_neg(_mat(n, key)))
+                      for key in found)
+    return EllipticData(nus[0], nus[1],
+                        greedy_generators(n, [_mat(n, key) for key in sorted(signed)]))
 
 
 def psl_index(H: SubgroupImage) -> int:
@@ -219,7 +212,7 @@ def psl_index(H: SubgroupImage) -> int:
     return mu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def curve_invariants(H: SubgroupImage) -> CurveInvariants:
     mu = psl_index(H)
     nu_inf = cusp_count(H)
@@ -230,7 +223,7 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
     return CurveInvariants(mu, nu_inf, ell.nu2, ell.nu3, g12)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
@@ -278,9 +271,8 @@ def verify_unramified(H: SubgroupImage, G: SubgroupImage) -> bool:
     <H, -I> must already land in <G, -I>."""
     if H.level != G.level:
         raise ValueError("subgroups must share a level")
-    n = H.level
-    hpm = _packed(n, pm_elements(H))
-    gpm = _packed(n, pm_elements(G))
+    hpm = pm_elements(H)
+    gpm = pm_elements(G)
     if not gpm <= hpm:
         raise ValueError("G is not contained in <H, -I>")
-    return all(cls & hpm <= gpm for cls in _elliptic_classes(n))
+    return all(cls & hpm <= gpm for cls in _elliptic_classes(H.level))

@@ -10,8 +10,8 @@ Place primes and ``tables --primes-only`` levels are not capped, so
 13 prime bases 2..41, which no composite below
 3317044064679887385961981 passes (Sorenson and Webster, *Strong
 pseudoprimes to twelve prime bases*, Math. Comp. 86 (2017)).  Above that
-bound a number that passes every base is refused with a ``ValueError``
-rather than declared prime.
+bound a number that passes every base, or has more than 1024 bits and no
+factor up to 41, is refused with a ``ValueError`` rather than declared prime.
 """
 
 from __future__ import annotations
@@ -51,33 +51,34 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Whether n is prime; exact for n < 3317044064679887385961981.
 
-    Above that bound a composite is still refuted when a base witnesses it,
-    and a number that passes every base raises ``ValueError``.
+    Above that bound a composite is still refuted when a base witnesses it
+    (bases are tried up to 1024 bits); anything else raises ``ValueError``.
     """
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n < _MR_EXACT_BELOW:
-        return True
+    if n.bit_length() <= 1024:  # above it each pow costs up to seconds
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < _MR_EXACT_BELOW:
+            return True
     raise ValueError(
-        f"cannot certify primality of {n}: it passes the strong test to the "
-        f"bases 2..41, which is exact only below {_MR_EXACT_BELOW}")
+        f"cannot certify primality of {n}: it has no prime factor up to 41, and "
+        f"the strong test to the bases 2..41 is exact only below {_MR_EXACT_BELOW}")
 
 
 def euler_phi(n: int) -> int:

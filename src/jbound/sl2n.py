@@ -1,17 +1,19 @@
 """Exact arithmetic, enumeration, and subgroup closure in SL2(Z/N).
 
-Matrices are stored with entries reduced to [0, N); element sets are frozen
-and compared by content, so subgroup equality never depends on how a
-subgroup was generated.  Enumeration walks unimodular first columns (a, c)
-with gcd(a, c, N) = 1 and sweeps the N completions of each, which makes the
-order formula an actual counting argument rather than a filter.  No routine
-of the package sweeps the whole group: subgroups, SL2(Z/N) included, are
-built by closing generators, and enumeration serves as a reference.
+A subgroup's element set is a frozenset of packed keys: [[a, b], [c, d]]
+with entries in [0, N) is ((a*N + b)*N + c)*N + d, so sorted keys follow
+sorted ``Mat`` tuples, and the level is stored once, on the image.  ``Mat``
+is for generators and input.  Element sets are compared by content, so
+subgroup equality never depends on how a subgroup was generated.
+Enumeration walks unimodular first columns (a, c) with gcd(a, c, N) = 1 and
+sweeps the N completions of each, which makes the order formula an actual
+counting argument rather than a filter.  No routine of the package sweeps
+the whole group: subgroups, SL2(Z/N) included, are built by closing
+generators, and enumeration serves as a reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -84,20 +86,15 @@ def group_order(n: int) -> int:
     return sl2_order(n)
 
 
-def _first_column_completion(n: int, a: int, c: int) -> tuple[int, int]:
-    """Some (b0, d0) with a*d0 - c*b0 = 1 mod n, for gcd(a, c, n) = 1."""
-    g, x, y = xgcd(a, c)  # a*x + c*y = g with gcd(g, n) = 1
-    ginv = pow(g, -1, n)
-    return (-y * ginv) % n, (x * ginv) % n
-
-
 def iter_group(n: int) -> Iterator[Mat]:
     """All of SL2(Z/n) as Mat values, in a fixed deterministic order."""
     for a in range(n):
         for c in range(n):
             if gcd(gcd(a, c), n) != 1:
                 continue
-            b, d = _first_column_completion(n, a, c)
+            g, x, y = xgcd(a, c)  # a*x + c*y = g with gcd(g, n) = 1
+            ginv = pow(g, -1, n)
+            b, d = (-y * ginv) % n, (x * ginv) % n  # a*d - c*b = 1
             for _ in range(n):
                 yield Mat(n, a, b, c, d)
                 b = (b + a) % n
@@ -116,22 +113,32 @@ def enumerate_group(n: int, cap: int = ENUMERATION_CAP) -> frozenset[Mat]:
     return frozenset(iter_group(n))
 
 
+def _key(m: Mat) -> int:
+    n = m.n
+    return ((m.a * n + m.b) * n + m.c) * n + m.d
+
+
+def _mat(n: int, key: int) -> Mat:
+    ab, cd = divmod(key, n * n)
+    return Mat(n, *divmod(ab, n), *divmod(cd, n))
+
+
 @dataclass(frozen=True, eq=False)
 class SubgroupImage:
-    """A subgroup of SL2(Z/N) by its element set.
+    """A subgroup of SL2(Z/N) by its element set, a frozenset of packed keys.
 
-    ``generators`` always generate ``elements`` (the builders enforce it);
-    equality and hashing look only at (level, elements), never at the
-    particular generating set.
+    The ``Mat`` values in ``generators`` always generate ``elements`` (the
+    builders enforce it); equality and hashing look only at (level,
+    elements), never at the particular generating set.
     """
 
     level: int
-    elements: frozenset
+    elements: frozenset[int]
     generators: tuple
     contains_minus_i: bool
 
     def __post_init__(self) -> None:
-        if identity(self.level) not in self.elements:
+        if self.level ** 3 + 1 not in self.elements:  # the key of I
             raise ValueError("subgroup must contain the identity")
 
     def __eq__(self, other) -> bool:
@@ -157,12 +164,12 @@ class SubgroupImage:
         and always verifies that the generators close to exactly this set."""
         elems = frozenset(elements)
         for m in elems:
-            if not isinstance(m, Mat) or m.n != level:
-                raise ValueError(f"element at wrong level: {m!r}")
+            if not isinstance(m, Mat) or m.n != level or m != Mat.make(*m):
+                raise ValueError(f"not a reduced element at level {level}: {m!r}")
         if generators is None:
             generators = greedy_generators(level, sorted(elems))
         sub = closure(level, generators)
-        if sub.elements != elems:
+        if sub.elements != frozenset(map(_key, elems)):
             raise ValueError("generators do not generate the element set")
         return sub
 
@@ -170,40 +177,42 @@ class SubgroupImage:
 def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> SubgroupImage:
     """Smallest multiplicatively closed set containing the generators and I.
 
-    Breadth-first over right multiplication; in a finite group this closure
-    is automatically a subgroup (inverses are powers).
+    Breadth-first over right multiplication, on packed keys; in a finite
+    group this closure is automatically a subgroup (inverses are powers).
     """
     _admit_level(n, cap)
-    gen_list = []
-    for g in gens:
+    gen_list = tuple(Mat.make(*g) for g in gens)
+    for g in gen_list:
         if g.n != n:
             raise ValueError(f"generator at wrong level: {g!r}")
-        gen_list.append(Mat.make(g.n, g.a, g.b, g.c, g.d))
-    gen_entries = [(g.a, g.b, g.c, g.d) for g in gen_list]
-    ident = identity(n)
+    n2 = n * n
+    ident = n2 * n + 1
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        _, a, b, c, d = queue.popleft()
-        for e, f, g, h in gen_entries:  # cur * g, as mat_mul without its level check
-            nxt = Mat(n, (a * e + b * g) % n, (a * f + b * h) % n,
-                      (c * e + d * g) % n, (c * f + d * h) % n)
+    queue = [ident]
+    for key in queue:
+        ab, cd = divmod(key, n2)
+        a, b = divmod(ab, n)
+        c, d = divmod(cd, n)
+        for _, e, f, g, h in gen_list:  # key * g
+            nxt = ((((a * e + b * g) % n * n + (a * f + b * h) % n) * n
+                    + (c * e + d * g) % n) * n + (c * f + d * h) % n)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return SubgroupImage(n, frozenset(seen), tuple(gen_list),
-                         minus_identity(n) in seen)
+    del queue  # it holds every key again; free it before the set is copied
+    # -I packs to (n-1)*n^3 + (n-1)
+    return SubgroupImage(n, frozenset(seen), gen_list, (n - 1) * ident in seen)
 
 
 def greedy_generators(level: int, elems: Iterable[Mat]) -> tuple:
     """A small generating set of the subgroup that ``elems`` generate: scan them
     lazily, in the given order, and keep those not yet generated."""
     gens: list[Mat] = []
-    current = {identity(level)}
+    current = {level ** 3 + 1}  # the key of I
     for e in elems:
-        if e not in current:
+        if _key(e) not in current:
             gens.append(e)
-            current = set(closure(level, gens).elements)
+            current = closure(level, gens).elements
     return tuple(gens)
 
 
@@ -218,8 +227,8 @@ def element_order(m: Mat) -> int:
     return k
 
 
-def pm_elements(H: SubgroupImage) -> frozenset:
-    """The element set of <H, -I>."""
+def pm_elements(H: SubgroupImage) -> frozenset[int]:
+    """The element set of <H, -I>, packed."""
     if H.contains_minus_i:
         return H.elements
-    return H.elements | frozenset(mat_neg(m) for m in H.elements)
+    return H.elements | frozenset(_key(mat_neg(_mat(H.level, key))) for key in H.elements)

@@ -23,9 +23,11 @@ checked against the tabulated counts ``PARTITION_COUNTS``.
 The file also keeps the full-group elliptic sweep (``ref_elliptic_sweep``,
 ``ref_unramified``), the package's former O(|SL2(Z/N)|) algorithm, as an
 oracle for the conjugacy-class engine.  It works on plain (a, b, c, d)
-tuples.
+tuples; ``unpacked`` turns the package's packed element keys into them, and
+``ref_closure`` closes generators by the same tuple products.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -262,6 +264,42 @@ def _inv(x, n):
 
 def _neg(x, n):
     return tuple(-v % n for v in x)
+
+
+def unpacked(n, keys):
+    """The (a, b, c, d) tuples of packed keys ((a*n + b)*n + c)*n + d."""
+    out = set()
+    for key in keys:
+        key, d = divmod(key, n)
+        key, c = divmod(key, n)
+        out.add((*divmod(key, n), c, d))
+    return out
+
+
+def ref_closure(n, gens):
+    """The subgroup of SL2(Z/n) that the tuples ``gens`` generate, by a
+    breadth-first search over right products."""
+    ident = (1, 0, 0, 1)
+    seen, queue = {ident}, [ident]
+    for x in queue:
+        for g in gens:
+            y = _mul(x, g, n)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def random_generator_sets(count, seed):
+    """(n, gens): one or two elements of SL2(Z/n), tuples drawn from the
+    sorted group, at random levels n in 2..16."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 16)
+        elems = sorted(sl2_elements(n))
+        out.append((n, rng.sample(elems, rng.randint(1, 2))))
+    return out
 
 
 def sl2_elements(n):

@@ -26,7 +26,7 @@ from jbound.bounds import (
     ln_dstar,
     p_max,
 )
-from jbound.invariants import SubgroupKind, standard_subgroup
+from jbound.invariants import SubgroupKind, applicability, standard_subgroup
 from jbound.numtheory import b_of, d_n, euler_phi, m_of
 from jbound.xreal import Rounding, XReal, payload_rel_diff
 
@@ -222,16 +222,16 @@ def test_log10_rendering_against_ln():
 
 def test_bound_auto_dispatch():
     f, s = NumberFieldSpec(1, 1), SSetSpec(1)
-    rep = bound_auto(standard_subgroup(SubgroupKind.PRINCIPAL, 5), f, s)
+    rep = bound_auto(applicability(standard_subgroup(SubgroupKind.PRINCIPAL, 5)), f, s)
     assert rep.theorem is Theorem.MAIN and rep.level_used == 10
 
-    rep17 = bound_auto(standard_subgroup(SubgroupKind.GAMMA0, 17), f, s)
+    rep17 = bound_auto(applicability(standard_subgroup(SubgroupKind.GAMMA0, 17)), f, s)
     assert rep17.theorem is Theorem.MAIN1_PRIME_POWER
     assert rep17.level_used == 34
     assert rep17.ln_c_coefficient == 998784
 
     with pytest.raises(InapplicableError) as err:
-        bound_auto(standard_subgroup(SubgroupKind.FULL, 2), f, s)
+        bound_auto(applicability(standard_subgroup(SubgroupKind.FULL, 2)), f, s)
     assert err.value.subgroup_cusps == 1
     assert err.value.tilde_cusps == 1
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from jbound import cli, invariants
+from jbound import bounds, cli, invariants
 from jbound.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INAPPLICABLE,
@@ -117,6 +117,21 @@ def test_oversized_level_is_refused_before_any_sweep(monkeypatch, capsys, argv):
 def test_uncertifiable_prime_is_spec_error_at_once(capsys, argv):
     """2^127 - 1 is prime, but above the bound where the primality test is
     exact, so it is refused without factoring."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_SPEC_ERROR
+    assert out == "" and "cannot certify primality" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--level", "11", "--place", str(10 ** 3999 + 3)),
+    ("tables", "--primes-only", "--from", str(10 ** 3999 + 3), "--to", str(10 ** 3999 + 3)),
+], ids=["place-4000-digits", "tables-primes-only-4000-digits"])
+def test_huge_candidate_is_spec_error_before_any_base(capsys, argv):
+    """10^3999 + 3 has no prime factor up to 41 and more than 1024 bits: it is
+    refused before a strong-test base is tried, each of which would take
+    seconds.  As a tables level it used to print only the header."""
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.1
@@ -376,6 +391,24 @@ def test_job_counts_each_images_cusps_once(monkeypatch, capsys, kind, n, job):
     job()
     assert len(counted) == 2
     capsys.readouterr()
+
+
+def test_bound_job_decides_the_route_once(monkeypatch, capsys):
+    """build_report hands its Applicability to bound_auto, which does not
+    decide the route again."""
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return invariants.applicability(H)
+
+    monkeypatch.setattr(cli, "applicability", counting)
+    monkeypatch.setattr(bounds, "applicability", counting, raising=False)
+    for argv in (("bound", "--level", "17"), ("bound", "--level", "17", "--json")):
+        calls.clear()
+        code, _out, _err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
 
 # ---- tables ----

@@ -193,6 +193,26 @@ def test_invariants_stable_under_adjoining_minus_i():
         assert curve_invariants(hpm) == curve_invariants(h)
 
 
+CACHED = (standard_subgroup, elliptic_counts, curve_invariants, tilde_subgroup)
+
+
+def test_invariant_caches_are_bounded_and_recompute_after_eviction():
+    for cached in CACHED:
+        assert cached.cache_info().maxsize == 64
+    h = standard_subgroup(SubgroupKind.GAMMA0, 17)
+    before = (elliptic_counts(h), curve_invariants(h), tilde_subgroup(h))
+    # 64 other images of each kind push level 17 out of every cache
+    for n in range(18, 18 + 64):
+        curve_invariants(tilde_subgroup(standard_subgroup(SubgroupKind.GAMMA1, n)))
+    misses = [cached.cache_info().misses for cached in CACHED]
+    h2 = standard_subgroup(SubgroupKind.GAMMA0, 17)
+    assert h2 is not h and h2 == h
+    after = (elliptic_counts(h2), curve_invariants(h2), tilde_subgroup(h2))
+    assert [cached.cache_info().misses for cached in CACHED] == [m + 1 for m in misses]
+    assert after == before
+    assert applicability(h2).tilde_image == before[2]
+
+
 # ---- brute-force recomputation at small levels ----
 
 def brute_invariants(H):
@@ -200,7 +220,8 @@ def brute_invariants(H):
     orbit count, and matrix conjugation against s and the order-3 element."""
     n = H.level
     G = sorted(enumerate_group(n))
-    hpm = set(H.elements) | {mat_neg(m) for m in H.elements}
+    hmats = {Mat(n, *x) for x in R.unpacked(n, H.elements)}
+    hpm = hmats | {mat_neg(m) for m in hmats}
     mu = len(G) // len(hpm)
 
     prim = [(a, c) for a in range(n) for c in range(n)
@@ -274,9 +295,10 @@ def test_tilde_is_contained_in_sign_extension():
     for kind in SubgroupKind:
         for n in range(2, 13):
             h = standard_subgroup(kind, n)
-            hpm = set(h.elements) | {mat_neg(m) for m in h.elements}
+            hmats = {Mat(n, *x) for x in R.unpacked(n, h.elements)}
+            hpm = hmats | {mat_neg(m) for m in hmats}
             t = tilde_subgroup(h)
-            assert t.elements <= hpm
+            assert {Mat(n, *x) for x in R.unpacked(n, t.elements)} <= hpm
 
 
 def test_order_criterion_implies_three_cusps_on_corpus():
@@ -370,19 +392,10 @@ def test_applicability_carries_tilde_image():
 
 # ---- the conjugacy-class engine against the full-group sweep ----
 
-def _tuples(elems):
-    return {(m.a, m.b, m.c, m.d) for m in elems}
-
-
 def random_subgroups(count, seed):
     """Subgroups closed from one or two random elements at levels 2..16."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(2, 16)
-        elems = sorted(enumerate_group(n))
-        out.append(closure(n, rng.sample(elems, rng.randint(1, 2))))
-    return out
+    return [closure(n, [Mat(n, *g) for g in gens])
+            for n, gens in R.random_generator_sets(count, seed)]
 
 
 def check_against_sweep(h):
@@ -390,7 +403,7 @@ def check_against_sweep(h):
     per elliptic coset) must equal the engine's wherever it passes
     verify_unramified.  Returns the sweep's tilde."""
     n = h.level
-    nu2, nu3, stab = R.ref_elliptic_sweep(n, _tuples(h.elements))
+    nu2, nu3, stab = R.ref_elliptic_sweep(n, R.unpacked(n, h.elements))
     e = elliptic_counts(h)
     assert (e.nu2, e.nu3) == (nu2, nu3), h
     old = closure(n, [Mat(n, *x) for x in stab])
@@ -411,10 +424,10 @@ def test_engines_agree_on_random_subgroups():
     ramified_old = 0
     for h in random_subgroups(240, 1729):
         old = check_against_sweep(h)
-        hs = _tuples(h.elements)
+        hs = R.unpacked(h.level, h.elements)
         for g in (old, tilde_subgroup(h)):
             assert verify_unramified(h, g) == R.ref_unramified(
-                h.level, hs, _tuples(g.elements)), h
+                h.level, hs, R.unpacked(g.level, g.elements)), h
         ramified_old += not verify_unramified(h, old)
     # the corpus reaches subgroups where one conjugate per coset is too few
     assert ramified_old > 0

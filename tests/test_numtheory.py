@@ -1,5 +1,6 @@
 """Elementary helpers: factorization, phi, group order, derived level data."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -59,6 +60,23 @@ def test_is_prime_refuses_what_it_cannot_certify():
     for n in (PSI_13, 2**89 - 1, 2**127 - 1):
         with pytest.raises(ValueError, match="cannot certify primality"):
             is_prime(n)
+
+
+def test_is_prime_refuses_huge_candidates_before_any_base():
+    # no prime factor up to 41; each pow at 4000 digits would take seconds
+    huge = 10**3999 + 3
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot certify primality"):
+        is_prime(huge)
+    assert time.perf_counter() - start < 0.1
+    # a factor up to 41 still refutes at any size, and up to 1024 bits a base
+    # does; two Mersenne primes give composites with no factor up to 41
+    assert not is_prime(10**4000)
+    assert not is_prime(41 * (2**1100 + 1))
+    m127, m521 = 2**127 - 1, 2**521 - 1
+    assert not is_prime(m127 * m521)  # 648 bits
+    with pytest.raises(ValueError, match="cannot certify primality"):
+        is_prime(m521 * m521)  # 1042 bits
 
 
 def test_euler_phi():

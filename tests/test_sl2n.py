@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+import reference as R
+from jbound import sl2n
 from jbound.numtheory import sl2_order
 from jbound.sl2n import (
     CapExceeded,
@@ -97,7 +99,8 @@ def test_closure_examples():
     assert closure(3, [s3]).order == 4
     t = Mat(3, 1, 1, 0, 1)
     s = Mat(3, 0, 2, 1, 0)
-    assert closure(3, [s, t]).elements == enumerate_group(3)
+    assert {Mat(3, *x) for x in R.unpacked(3, closure(3, [s, t]).elements)} == \
+        enumerate_group(3)
 
 
 def test_closure_is_a_subgroup_and_lagrange_holds():
@@ -108,10 +111,17 @@ def test_closure_is_a_subgroup_and_lagrange_holds():
             gens = rng.sample(elems, rng.randint(1, 3))
             sub = closure(n, gens)
             assert group_order(n) % sub.order == 0
-            for x in sub.elements:
-                assert mat_inv(x) in sub.elements
+            mats = {Mat(n, *x) for x in R.unpacked(n, sub.elements)}
+            for x in mats:
+                assert mat_inv(x) in mats
                 for g in gens:
-                    assert mat_mul(x, g) in sub.elements
+                    assert mat_mul(x, g) in mats
+
+
+def test_closure_equals_tuple_closure_on_random_generator_sets():
+    for n, gens in R.random_generator_sets(240, 1729):
+        sub = closure(n, [Mat(n, *g) for g in gens])
+        assert R.unpacked(n, sub.elements) == R.ref_closure(n, gens), (n, gens)
 
 
 def test_closure_respects_cap():
@@ -142,6 +152,14 @@ def test_from_elements_rejects_non_closed_sets():
         SubgroupImage.from_elements(3, [identity(3)], [Mat(3, 1, 1, 0, 1)])
 
 
+def test_from_elements_rejects_unreduced_entries():
+    # [[0, 3], [2, 1]] at level 3 would pack onto the key of [[1, 0], [2, 1]]
+    lower = [identity(3), Mat(3, 1, 0, 1, 1), Mat(3, 1, 0, 2, 1)]
+    assert SubgroupImage.from_elements(3, lower).order == 3
+    with pytest.raises(ValueError):
+        SubgroupImage.from_elements(3, [*lower[:2], Mat(3, 0, 3, 2, 1)])
+
+
 def test_element_order():
     assert element_order(identity(7)) == 1
     assert element_order(minus_identity(7)) == 2
@@ -164,3 +182,28 @@ def test_subgroup_equality_is_by_level_and_elements():
     b = SubgroupImage.from_elements(5, [identity(5), minus_identity(5)])
     assert a == b and hash(a) == hash(b)
     assert a != closure(7, [minus_identity(7)])
+
+
+# ---- the packed representation ----
+
+def test_pack_unpack_round_trip():
+    for n in range(2, 31):
+        for m in enumerate_group(n):
+            key = sl2n._key(m)
+            assert 0 <= key < n ** 4
+            assert sl2n._mat(n, key) == m
+            assert R.unpacked(n, [key]) == {(m.a, m.b, m.c, m.d)}
+
+
+def test_packed_keys_sort_like_mats():
+    for n in range(2, 31):
+        mats = sorted(enumerate_group(n))
+        keys = [sl2n._key(m) for m in mats]
+        assert keys == sorted(keys)
+
+
+def test_identity_and_minus_identity_keys():
+    for n in range(2, 31):
+        h = closure(n, [minus_identity(n)])
+        assert h.elements == {sl2n._key(identity(n)), sl2n._key(minus_identity(n))}
+        assert h.contains_minus_i
