@@ -196,9 +196,12 @@ def _build_jobspec(args: argparse.Namespace) -> JobSpec:
                            _as_int(item[1], "residue degree")))
         else:
             raise SpecError(f"cannot parse place entry {item!r}")
+    ln_c = values.get("ln_c", 0.0)
+    if isinstance(ln_c, bool):
+        raise SpecError(f"lnC must be a number, got {ln_c!r}")
     try:
-        ln_c = float(values.get("ln_c", 0.0))
-    except (TypeError, ValueError) as exc:
+        ln_c = float(ln_c)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
         raise SpecError(f"bad lnC: {exc}") from exc
     if not math.isfinite(ln_c):
         raise SpecError(f"lnC must be finite, got {ln_c}")

@@ -19,7 +19,8 @@ The "tilde" subgroup is the subgroup generated by every elliptic element of
 puts it in H, and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
-checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.
+checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is the last
+closure of one greedy scan over those elements, or H itself when they agree.
 
 Each classical family is the closure of its generators, checked against the
 family's exact order: none for Gamma(N), T for Gamma1(N), T and diag(u, u^-1)
@@ -45,7 +46,7 @@ from .sl2n import (
     _key,
     _mat,
     closure,
-    greedy_generators,
+    greedy_closure,
     group_order,
     mat_neg,
     minus_identity,
@@ -87,12 +88,10 @@ class CurveInvariants:
 
 @dataclass(frozen=True)
 class EllipticData:
-    """Elliptic point counts over j=1728 and j=0, and generators (elements
-    of H) of the subgroup generated by the elliptic elements of <H, -I>."""
+    """Elliptic point counts over j=1728 and j=0."""
 
     nu2: int
     nu3: int
-    stabilizer_generators: tuple
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
         gens = [t]
     elif kind is SubgroupKind.GAMMA0:
         units = (Mat(n, u, 0, 0, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1)
-        gens = [t, *greedy_generators(n, units)]
+        gens = [t, *greedy_closure(n, units).generators]
     else:  # FULL
         gens = [Mat(n, 0, n - 1, 1, 0), t]
     H = closure(n, gens)
@@ -183,24 +182,16 @@ def elliptic_counts(H: SubgroupImage) -> EllipticData:
 
     The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
     where |C(s)| = |G| / |Cl(s)| is the centralizer order; dividing by
-    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0.
-    The stabilizer generators are a greedy generating set of the subgroup
-    that the elliptic elements of <H, -I>, each signed into H, generate."""
-    n = H.level
-    order = group_order(n)
+    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0."""
+    order = group_order(H.level)
     hpm = pm_elements(H)
     nus = []
-    signed = set()
-    for cls in _elliptic_classes(n):
-        found = cls & hpm
-        nu, rem = divmod(order * len(found), len(cls) * len(hpm))
+    for cls in _elliptic_classes(H.level):
+        nu, rem = divmod(order * len(cls & hpm), len(cls) * len(hpm))
         if rem:
             raise AssertionError("internal: elliptic count is not an integer")
         nus.append(nu)
-        signed.update(key if key in H.elements else _key(mat_neg(_mat(n, key)))
-                      for key in found)
-    return EllipticData(nus[0], nus[1],
-                        greedy_generators(n, [_mat(n, key) for key in sorted(signed)]))
+    return EllipticData(*nus)
 
 
 def psl_index(H: SubgroupImage) -> int:
@@ -227,12 +218,18 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
 def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
-    it to.  No elliptic elements means the trivial image."""
-    ell = elliptic_counts(H)
-    gens = list(ell.stabilizer_generators)
-    if gens and H.contains_minus_i:
-        gens.append(minus_identity(H.level))
-    return closure(H.level, gens)
+    it to.  No elliptic elements means the trivial image.  One greedy scan in
+    key order closes it, and it is H itself when its order is |H|."""
+    n = H.level
+    elliptic = set().union(*_elliptic_classes(n))
+    signed = elliptic & H.elements
+    if not H.contains_minus_i:  # key in H and -key in H cannot both hold
+        signed |= {key for key in H.elements if _key(mat_neg(_mat(n, key))) in elliptic}
+    elems = [_mat(n, key) for key in sorted(signed)]
+    if elems and H.contains_minus_i:
+        elems.append(minus_identity(n))
+    tilde = greedy_closure(n, elems)
+    return H if tilde.order == H.order else tilde
 
 
 def forces_three_cusps(G: SubgroupImage) -> bool:

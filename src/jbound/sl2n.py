@@ -166,9 +166,8 @@ class SubgroupImage:
         for m in elems:
             if not isinstance(m, Mat) or m.n != level or m != Mat.make(*m):
                 raise ValueError(f"not a reduced element at level {level}: {m!r}")
-        if generators is None:
-            generators = greedy_generators(level, sorted(elems))
-        sub = closure(level, generators)
+        sub = (greedy_closure(level, sorted(elems)) if generators is None
+               else closure(level, generators))
         if sub.elements != frozenset(map(_key, elems)):
             raise ValueError("generators do not generate the element set")
         return sub
@@ -204,16 +203,17 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
     return SubgroupImage(n, frozenset(seen), gen_list, (n - 1) * ident in seen)
 
 
-def greedy_generators(level: int, elems: Iterable[Mat]) -> tuple:
-    """A small generating set of the subgroup that ``elems`` generate: scan them
-    lazily, in the given order, and keep those not yet generated."""
-    gens: list[Mat] = []
-    current = {level ** 3 + 1}  # the key of I
+def greedy_closure(level: int, elems: Iterable[Mat]) -> SubgroupImage:
+    """The subgroup that ``elems`` generate: scan them lazily, in the given
+    order, closing again at each one not yet generated.  The result's
+    ``generators`` are the elements kept, a small generating set."""
+    gens, sub, current = [], None, {level ** 3 + 1}  # the key of I
     for e in elems:
         if _key(e) not in current:
             gens.append(e)
-            current = closure(level, gens).elements
-    return tuple(gens)
+            sub = closure(level, gens)
+            current = sub.elements
+    return closure(level, []) if sub is None else sub
 
 
 def element_order(m: Mat) -> int:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from jbound import bounds, cli, invariants
+from jbound import bounds, cli, invariants, sl2n
 from jbound.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INAPPLICABLE,
@@ -282,6 +282,8 @@ def test_spec_integer_beyond_the_str_to_int_limit(tmp_path, capsys):
     ({"level": 11, "gens": []}, "gens must be a string"),
     ({"level": 11, "lnC": float("nan")}, "lnC must be finite"),
     ({"level": 11, "lnC": "inf"}, "lnC must be finite"),
+    ({"level": 11, "lnC": 10 ** 400}, "bad lnC: int too large"),
+    ({"level": 11, "lnC": True}, "lnC must be a number"),
 ])
 def test_spec_values_are_strict(tmp_path, capsys, doc, message):
     path = tmp_path / "job.json"
@@ -409,6 +411,28 @@ def test_bound_job_decides_the_route_once(monkeypatch, capsys):
         code, _out, _err = run(capsys, *argv)
         assert code == EXIT_OK
         assert len(calls) == 1
+
+
+def test_full_level_job_closes_sl2_twice(monkeypatch, capsys):
+    """SL2(Z/13) is closed once for H and once by the tilde's greedy scan;
+    the tilde equals H, so no third closure of the whole group follows."""
+    full_closures = []
+    closure = sl2n.closure
+
+    def counting(n, gens, *args):
+        sub = closure(n, gens, *args)
+        if sub.order == sl2n.group_order(n):
+            full_closures.append(sub)
+        return sub
+
+    monkeypatch.setattr(sl2n, "closure", counting)
+    monkeypatch.setattr(invariants, "closure", counting)
+    for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
+                   invariants.curve_invariants, invariants.tilde_subgroup):
+        cached.cache_clear()
+    code, _out, _err = run(capsys, "invariants", "--level", "13", "--subgroup", "full")
+    assert code == EXIT_OK
+    assert len(full_closures) == 2
 
 
 # ---- tables ----

@@ -1,4 +1,5 @@
-"""Fuzz of the command line: every argv ends in a documented exit code.
+"""Fuzz of the command line: every argv and every ``--spec`` job document
+ends in a documented exit code.
 
 Levels are either admissible and small (2..64) or far above the cap, so
 that each example stays one fast job.  Place primes and ``--primes-only``
@@ -8,6 +9,8 @@ exact; a probable prime above it must exit 3.
 
 import contextlib
 import io
+import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,18 +98,76 @@ ARGV = mostly(st.one_of(job_argv(), job_argv(), tables_argv()),
                        max_size=3))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(argv=ARGV)
-def test_every_argv_ends_in_a_documented_exit_code(argv):
+def assert_documented_exit(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(stdin)):
             code = main(argv)
     finally:
         # one job's images at a time, not every level's SL2(Z/N) at once
         for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
                        invariants.curve_invariants, invariants.tilde_subgroup):
             cached.cache_clear()
-    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert code in EXIT_CODES, (argv, stdin, code, err.getvalue())
     if code:
-        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        assert err.getvalue().startswith("error:"), (argv, stdin, err.getvalue())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=ARGV)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    assert_documented_exit(argv)
+
+
+# ---- job documents ----
+
+# stands for an integer of 5000 digits, past the limit of json.loads
+LONG_INT = "long-int"
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.just(LONG_INT), st.just(10 ** 400),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -0.0, 2.5]),
+    st.integers(-(10 ** 40), 10 ** 40), st.text(max_size=6),
+    st.lists(st.integers(-3, 5), max_size=3), st.just({}), st.just({"level": 5}))
+
+
+def number_or_text(values):
+    return st.one_of(values, values.map(str))
+
+
+PLACE = st.one_of(PLACE_TEXT, st.tuples(st.sampled_from([2, 3, 5, 7, 97]), st.integers(1, 3))
+                  .map(list), JUNK)
+SPEC_VALUES = {
+    "level": number_or_text(st.one_of(SMALL_LEVEL, LARGE_LEVEL)),
+    "subgroup": FAMILY,
+    "gens": GENS_TEXT,
+    "degree": number_or_text(st.integers(1, 4)),
+    "disc": number_or_text(st.integers(1, 10 ** 6)),
+    "infPlaces": number_or_text(st.integers(1, 3)),
+    "places": st.lists(PLACE, max_size=2),
+    "lnC": st.one_of(st.floats(-1e6, 1e6), st.sampled_from(["2.5", "-1e300"])),
+    "precision": st.sampled_from([8, 53, 128, 1024, "256"]),
+}
+
+
+@st.composite
+def spec_document(draw):
+    """A valid document with up to two keys set to junk or added unknown, so
+    that each fault meets every check that comes before it."""
+    doc = {"level": draw(SPEC_VALUES["level"])}
+    for key in draw(st.sets(st.sampled_from(sorted(SPEC_VALUES)))):
+        doc[key] = draw(SPEC_VALUES[key])
+    for key in draw(st.lists(st.sampled_from([*SPEC_VALUES, "bogus", "Level", ""]),
+                             max_size=2)):
+        doc[key] = draw(JUNK)
+    return doc
+
+
+DOCUMENT = mostly(spec_document(), st.one_of(st.lists(spec_document(), max_size=2), JUNK))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["invariants", "bound"]), doc=DOCUMENT)
+def test_every_spec_document_ends_in_a_documented_exit_code(command, doc):
+    text = json.dumps(doc).replace(json.dumps(LONG_INT), "1" * 5000)
+    assert_documented_exit([command, "--spec", "-"], text)

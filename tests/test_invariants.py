@@ -105,7 +105,8 @@ def test_elliptic_count_examples():
     g11 = standard_subgroup(SubgroupKind.GAMMA0, 11)
     e11 = elliptic_counts(g11)
     assert (e11.nu2, e11.nu3) == (0, 0)
-    assert e11.stabilizer_generators == ()
+    t11 = tilde_subgroup(g11)
+    assert t11.order == 1 and t11.generators == ()
     g13 = standard_subgroup(SubgroupKind.GAMMA0, 13)
     e13 = elliptic_counts(g13)
     assert (e13.nu2, e13.nu3) == (2, 2)
@@ -114,10 +115,14 @@ def test_elliptic_count_examples():
 def test_stabilizer_generator_orders():
     for kind in SubgroupKind:
         for n in range(2, 15):
-            e = elliptic_counts(standard_subgroup(kind, n))
+            h = standard_subgroup(kind, n)
+            t = tilde_subgroup(h)
+            if t is h:  # H's own generators need not be elliptic
+                continue
             allowed = {2, 3} if n == 2 else {3, 4, 6}
-            for m in e.stabilizer_generators:
-                assert element_order(m) in allowed
+            for m in t.generators:
+                if m != minus_identity(n):
+                    assert element_order(m) in allowed
 
 
 # ---- genus and the index identity ----
@@ -203,6 +208,7 @@ def test_invariant_caches_are_bounded_and_recompute_after_eviction():
     before = (elliptic_counts(h), curve_invariants(h), tilde_subgroup(h))
     # 64 other images of each kind push level 17 out of every cache
     for n in range(18, 18 + 64):
+        curve_invariants(standard_subgroup(SubgroupKind.GAMMA1, n))
         curve_invariants(tilde_subgroup(standard_subgroup(SubgroupKind.GAMMA1, n)))
     misses = [cached.cache_info().misses for cached in CACHED]
     h2 = standard_subgroup(SubgroupKind.GAMMA0, 17)
@@ -289,6 +295,13 @@ def test_tilde_examples():
     for n in (3, 5, 7):
         tf = tilde_subgroup(standard_subgroup(SubgroupKind.FULL, n))
         assert tf.order == group_order(n)
+
+
+def test_tilde_equal_to_h_is_h():
+    """A tilde of H's order is H, not a second copy of H's element set."""
+    for n in (3, 5, 7):
+        h = standard_subgroup(SubgroupKind.FULL, n)
+        assert tilde_subgroup(h) is h
 
 
 def test_tilde_is_contained_in_sign_extension():

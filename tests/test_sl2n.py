@@ -15,6 +15,7 @@ from jbound.sl2n import (
     closure,
     element_order,
     enumerate_group,
+    greedy_closure,
     group_order,
     identity,
     iter_group,
@@ -122,6 +123,20 @@ def test_closure_equals_tuple_closure_on_random_generator_sets():
     for n, gens in R.random_generator_sets(240, 1729):
         sub = closure(n, [Mat(n, *g) for g in gens])
         assert R.unpacked(n, sub.elements) == R.ref_closure(n, gens), (n, gens)
+
+
+def test_greedy_closure_is_the_closure_of_a_subsequence():
+    for n, gens in R.random_generator_sets(240, 1729):
+        mats = [Mat(n, *g) for g in gens]
+        sub = greedy_closure(n, mats)
+        assert sub == closure(n, mats), (n, gens)
+        kept = iter(mats)
+        assert all(g in kept for g in sub.generators), (n, gens)
+
+
+def test_greedy_closure_of_nothing_new_is_trivial():
+    sub = greedy_closure(7, [identity(7), identity(7)])
+    assert sub.order == 1 and sub.generators == ()
 
 
 def test_closure_respects_cap():
