@@ -48,7 +48,6 @@ from .sl2n import (
     Mat,
     SubgroupImage,
     closure,
-    element_order,
     enumerate_group,
     group_order,
     mat_inv,
@@ -67,7 +66,7 @@ __all__ = [
     "SubgroupImage", "SubgroupKind", "Theorem", "Verdict", "XReal",
     "applicability", "b_of", "bound_auto", "bound_main", "bound_main1",
     "closure", "curve_invariants", "cusp_count", "d_n", "delta1_ln",
-    "element_order", "elliptic_counts", "enumerate_group", "euler_phi",
+    "elliptic_counts", "enumerate_group", "euler_phi",
     "forces_three_cusps", "group_order", "h_s", "is_prime", "lambda_ln",
     "ln_delta", "ln_delta0", "ln_dstar", "m_of", "mat_inv", "mat_mul",
     "mat_neg", "p_max", "pm_elements", "prime_factors", "psl_index",

@@ -35,7 +35,7 @@ from .invariants import (
     standard_subgroup,
 )
 from .numtheory import is_prime
-from .sl2n import CapExceeded, Mat, SubgroupImage, closure
+from .sl2n import ENUMERATION_CAP, CapExceeded, Mat, SubgroupImage, _admit_level, closure
 from .xreal import DEFAULT_PREC, Rounding, XReal
 
 EXIT_OK = 0
@@ -414,13 +414,17 @@ def render_tables(family: str, start: int, stop: int, primes_only: bool) -> str:
         raise SpecError(f"unknown family {family!r}") from exc
     header = (f"{'family':<7} {'N':>3} {'mu':>6} {'nuInf':>5} {'nu2':>3} "
               f"{'nu3':>3} {'genus':>5} {'tildeOrd':>8} {'tildeNuInf':>10} verdict")
-    rows = [header]
+    levels = []
     for n in range(max(start, 2), stop + 1):
         try:
             if primes_only and not is_prime(n):
                 continue
         except ValueError as exc:  # a probable prime that cannot be certified
             raise SpecError(str(exc)) from exc
+        _admit_level(n, ENUMERATION_CAP)  # the whole range, before any row is computed
+        levels.append(n)
+    rows = [header]
+    for n in levels:
         app = applicability(standard_subgroup(kind, n))
         inv = app.invariants
         rows.append(

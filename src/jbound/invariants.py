@@ -19,12 +19,12 @@ The "tilde" subgroup is the subgroup generated by every elliptic element of
 puts it in H, and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
-checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is the last
-closure of one greedy scan over those elements, or H itself when they agree.
+checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
+closure of those elements in key order, or H itself when they agree.
 
 Each classical family is the closure of its generators, checked against the
-family's exact order: none for Gamma(N), T for Gamma1(N), T and diag(u, u^-1)
-over a greedy generating set of units u for Gamma0(N), and S and T for
+family's exact order: none for Gamma(N), T for Gamma1(N), T and then each
+diag(u, u^-1) that enlarges the group for Gamma0(N), and S and T for
 SL2(Z/N).  applicability reads the invariants of H and of
 its tilde once, through the cached curve_invariants, and returns both, so
 callers never count cusps themselves; each of the four invariant caches
@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .numtheory import euler_phi, prime_factors
@@ -46,10 +47,8 @@ from .sl2n import (
     _key,
     _mat,
     closure,
-    greedy_closure,
     group_order,
     mat_neg,
-    minus_identity,
     pm_elements,
 )
 
@@ -118,7 +117,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
         gens = [t]
     elif kind is SubgroupKind.GAMMA0:
         units = (Mat(n, u, 0, 0, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1)
-        gens = [t, *greedy_closure(n, units).generators]
+        gens = chain([t], units)  # lazy: no unit is made before the level is admitted
     else:  # FULL
         gens = [Mat(n, 0, n - 1, 1, 0), t]
     H = closure(n, gens)
@@ -218,8 +217,8 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
 def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
-    it to.  No elliptic elements means the trivial image.  One greedy scan in
-    key order closes it, and it is H itself when its order is |H|."""
+    it to.  No elliptic elements means the trivial image.  One closure of
+    them in key order builds it, and it is H itself when its order is |H|."""
     n = H.level
     elliptic = set().union(*_elliptic_classes(n))
     signed = elliptic & H.elements
@@ -227,8 +226,8 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
         signed |= {key for key in H.elements if _key(mat_neg(_mat(n, key))) in elliptic}
     elems = [_mat(n, key) for key in sorted(signed)]
     if elems and H.contains_minus_i:
-        elems.append(minus_identity(n))
-    tilde = greedy_closure(n, elems)
+        elems.append(Mat(n, n - 1, 0, 0, n - 1))  # -I
+    tilde = closure(n, elems)
     return H if tilde.order == H.order else tilde
 
 

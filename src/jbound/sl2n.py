@@ -8,14 +8,13 @@ subgroup equality never depends on how a subgroup was generated.
 Enumeration walks unimodular first columns (a, c) with gcd(a, c, N) = 1 and
 sweeps the N completions of each, which makes the order formula an actual
 counting argument rather than a filter.  No routine of the package sweeps
-the whole group: subgroups, SL2(Z/N) included, are built by closing
-generators, and enumeration serves as a reference.
+the whole group: every subgroup, SL2(Z/N) included, is built by the one
+lazy ``closure`` of its generators, and enumeration serves as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -46,16 +45,6 @@ class Mat(NamedTuple):
         if (a * d - b * c) % n != 1:
             raise ValueError(f"determinant is not 1 mod {n}: [[{a},{b}],[{c},{d}]]")
         return Mat(n, a, b, c, d)
-
-
-@lru_cache(maxsize=None)
-def identity(n: int) -> Mat:
-    return Mat(n, 1, 0, 0, 1)
-
-
-@lru_cache(maxsize=None)
-def minus_identity(n: int) -> Mat:
-    return Mat(n, (n - 1) % n, 0, 0, (n - 1) % n)
 
 
 def mat_mul(x: Mat, y: Mat) -> Mat:
@@ -127,8 +116,8 @@ def _mat(n: int, key: int) -> Mat:
 class SubgroupImage:
     """A subgroup of SL2(Z/N) by its element set, a frozenset of packed keys.
 
-    The ``Mat`` values in ``generators`` always generate ``elements`` (the
-    builders enforce it); equality and hashing look only at (level,
+    The ``Mat`` values in ``generators`` always generate ``elements``
+    (``closure`` keeps only those); equality and hashing look only at (level,
     elements), never at the particular generating set.
     """
 
@@ -157,74 +146,43 @@ class SubgroupImage:
     def order(self) -> int:
         return len(self.elements)
 
-    @staticmethod
-    def from_elements(level: int, elements: Iterable[Mat],
-                      generators: Iterable[Mat] | None = None) -> "SubgroupImage":
-        """Build from a known element set; extracts generators greedily if absent
-        and always verifies that the generators close to exactly this set."""
-        elems = frozenset(elements)
-        for m in elems:
-            if not isinstance(m, Mat) or m.n != level or m != Mat.make(*m):
-                raise ValueError(f"not a reduced element at level {level}: {m!r}")
-        sub = (greedy_closure(level, sorted(elems)) if generators is None
-               else closure(level, generators))
-        if sub.elements != frozenset(map(_key, elems)):
-            raise ValueError("generators do not generate the element set")
-        return sub
-
 
 def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> SubgroupImage:
-    """Smallest multiplicatively closed set containing the generators and I.
+    """The subgroup that the generators generate, on packed keys.
 
-    Breadth-first over right multiplication, on packed keys; in a finite
-    group this closure is automatically a subgroup (inverses are powers).
+    The generators are read lazily, in order, once the level is admitted.  One
+    already in the set is skipped; a new one multiplies the keys found so far,
+    and each key that appears meets every kept generator, breadth-first.  So
+    each element meets each kept generator once, and ``generators`` is the
+    kept subsequence (in a finite group, inverses are powers).
     """
     _admit_level(n, cap)
-    gen_list = tuple(Mat.make(*g) for g in gens)
-    for g in gen_list:
-        if g.n != n:
-            raise ValueError(f"generator at wrong level: {g!r}")
     n2 = n * n
     ident = n2 * n + 1
     seen = {ident}
-    queue = [ident]
-    for key in queue:
-        ab, cd = divmod(key, n2)
-        a, b = divmod(ab, n)
-        c, d = divmod(cd, n)
-        for _, e, f, g, h in gen_list:  # key * g
-            nxt = ((((a * e + b * g) % n * n + (a * f + b * h) % n) * n
-                    + (c * e + d * g) % n) * n + (c * f + d * h) % n)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    queue = [ident]  # every key, in the order found
+    kept: list[Mat] = []
+    for m in gens:
+        m = Mat.make(*m)
+        if m.n != n:
+            raise ValueError(f"generator at wrong level: {m!r}")
+        if _key(m) in seen:
+            continue
+        kept.append(m)
+        new, mark = kept[-1:], len(queue)  # the keys before mark met the others
+        for i, key in enumerate(queue):
+            ab, cd = divmod(key, n2)
+            a, b = divmod(ab, n)
+            c, d = divmod(cd, n)
+            for _, e, f, g, h in (new if i < mark else kept):  # key * generator
+                nxt = ((((a * e + b * g) % n * n + (a * f + b * h) % n) * n
+                        + (c * e + d * g) % n) * n + (c * f + d * h) % n)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     del queue  # it holds every key again; free it before the set is copied
     # -I packs to (n-1)*n^3 + (n-1)
-    return SubgroupImage(n, frozenset(seen), gen_list, (n - 1) * ident in seen)
-
-
-def greedy_closure(level: int, elems: Iterable[Mat]) -> SubgroupImage:
-    """The subgroup that ``elems`` generate: scan them lazily, in the given
-    order, closing again at each one not yet generated.  The result's
-    ``generators`` are the elements kept, a small generating set."""
-    gens, sub, current = [], None, {level ** 3 + 1}  # the key of I
-    for e in elems:
-        if _key(e) not in current:
-            gens.append(e)
-            sub = closure(level, gens)
-            current = sub.elements
-    return closure(level, []) if sub is None else sub
-
-
-def element_order(m: Mat) -> int:
-    """Least k >= 1 with m^k = I."""
-    ident = identity(m.n)
-    cur = m
-    k = 1
-    while cur != ident:
-        cur = mat_mul(cur, m)
-        k += 1
-    return k
+    return SubgroupImage(n, frozenset(seen), tuple(kept), (n - 1) * ident in seen)
 
 
 def pm_elements(H: SubgroupImage) -> frozenset[int]:

@@ -37,6 +37,7 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_rational,
+    ften,
     fzero,
     mpf_abs,
     mpf_add,
@@ -47,14 +48,17 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pos,
+    mpf_pow_int,
     mpf_sub,
     to_float,
+    to_int,
     to_str,
 )
 
 DEFAULT_PREC = 128
 _GUARD_BITS = 32
 _PAD_SHIFT = 4  # pad = 2**_PAD_SHIFT = 16 ulps at working precision
+_CHECK_PREC = 64  # a printed decimal's digits are worked out at this precision
 # exp() refuses inputs above ~2**(2**28): the result's exponent integer alone
 # would need more than 32 MB.  Quantities past this point must stay in log form.
 _EXP_MAGNITUDE_LIMIT = 1 << 28
@@ -68,6 +72,20 @@ _EXP_MAGNITUDE_LIMIT = 1 << 28
 def _log_nearest(raw: tuple, wp: int) -> tuple:
     """ln of a positive mpf payload, rounded to nearest at ``wp`` bits."""
     return mpf_log(raw, wp, "n")
+
+
+def _directed_mantissa(raw: tuple, exp: int, rounding: "Rounding") -> int:
+    """An integer m with m * 10**exp >= raw (Up) or <= raw (Down): raw / 10**exp
+    by a directed division or product at a small precision, rounded to an
+    integer the same way.  It is exact when raw / 10**exp is an integer: for
+    exp < 0 then |exp| <= 10, and for exp >= 0 then 5**exp divides the
+    mantissa and the precision keeps 10**exp exact."""
+    wp = _CHECK_PREC + (7 * exp // 3 if 0 <= 2 * exp <= raw[3] else 0)
+    # a positive quotient, or a negative product, grows as the power shrinks
+    flip = (raw[0] == 0) == (exp >= 0)
+    power = mpf_pow_int(ften, abs(exp), wp, (rounding.flipped() if flip else rounding).value)
+    return to_int((mpf_div if exp >= 0 else mpf_mul)(raw, power, wp, rounding.value),
+                  rounding.value)
 
 
 class Rounding(enum.Enum):
@@ -143,9 +161,25 @@ class XReal:
         return to_float(self.raw)
 
     def decimal(self, digits: int = 7) -> str:
-        """Decimal rendering 'X.XXXXXXe+YYY', faithful for any exponent size."""
-        return to_str(self.raw, digits, strip_zeros=False, min_fixed=1, max_fixed=0,
+        """Decimal rendering 'X.XXXXXXe+YYY', faithful for any exponent size and
+        on the payload's side: an Up value never prints below its payload, a
+        Down value never above it.  The to-nearest rendering keeps its exponent,
+        and its digits are those of the payload rounded in its direction."""
+        text = to_str(self.raw, digits, strip_zeros=False, min_fixed=1, max_fixed=0,
                       show_zero_exponent=True)
+        if self.raw[1] == 0:  # zero is exact; inf and nan have no side
+            return text
+        head, tail = text.split("e")
+        width = len(head.lstrip("-")) - 1
+        exp = int(tail) - width + 1  # the printed value is man * 10**exp
+        man = _directed_mantissa(self.raw, exp, self.rounding)
+        if abs(man) < 10 ** (width - 1):  # a digit short: 1.00..0 became 0.99..9
+            exp -= 1
+            man = _directed_mantissa(self.raw, exp, self.rounding)
+        elif abs(man) == 10 ** width:  # a digit over: 9.99..9 became 10.00..0
+            man, exp = man // 10, exp + 1
+        body = str(abs(man))
+        return f"{'-' if man < 0 else ''}{body[0]}.{body[1:]}e{exp + width - 1:+d}"
 
     # ---- ring operations ----
 

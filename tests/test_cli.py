@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from jbound.cli import (
     report_from_json,
     report_to_json,
 )
+from test_acceptance import grid_points
 
 
 def run(capsys, *argv):
@@ -107,6 +109,26 @@ def test_oversized_level_is_refused_before_any_sweep(monkeypatch, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CAP_EXCEEDED
     assert out == "" and "exceeds the cap" in err
+    assert counted == []
+
+
+@pytest.mark.parametrize("refused, argv", [
+    (221, ("tables", "--family", "gamma0", "--from", "2", "--to", "100000")),
+    (221, ("tables", "--family", "gamma1", "--from", "2", "--to", "100000")),
+    (223, ("tables", "--family", "full", "--primes-only", "--from", "2", "--to", "100000")),
+], ids=["gamma0", "gamma1", "full-primes-only"])
+def test_over_cap_table_range_is_refused_before_any_row(monkeypatch, capsys, refused, argv):
+    """The cap is first exceeded at level 221 (223 among the primes), and the
+    range is refused before row 2 is computed: the rows below 221 used to
+    take 26.5 s for gamma0 before the table ended with exit 4 anyway."""
+    counted = []
+    monkeypatch.setattr(invariants, "cusp_count", counted.append)
+    monkeypatch.setattr(cli, "standard_subgroup", counted.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP_EXCEEDED
+    assert out == "" and f"|SL2(Z/{refused})| exceeds the cap" in err
     assert counted == []
 
 
@@ -365,6 +387,45 @@ def test_json_invariants_has_no_bound(capsys):
     assert doc["command"] == "invariants"
 
 
+def _serialised_xreals(doc):
+    """Every serialised XReal in a JSON report: the dicts with a "decimal"."""
+    if isinstance(doc, dict):
+        if "decimal" in doc:
+            yield doc
+        else:
+            for value in doc.values():
+                yield from _serialised_xreals(value)
+
+
+def test_json_decimals_are_on_the_payload_side_on_the_acceptance_grid(capsys):
+    """Each "up" decimal of a bound report, read as an exact fraction, is at
+    least its raw payload, and each "down" decimal at most, wherever both
+    are small enough to be exact fractions (every component; the Main1
+    log10 bounds near 10^(2.7e9) are left to the random-payload test)."""
+    precisions = (128, 1024, 4096)
+    checked = 0
+    for i, (family, (n, d, disc, r, places)) in enumerate(
+            (f, point) for f in ("gamma0", "gamma1", "gamma") for point in grid_points()):
+        argv = ["bound", "--level", str(n), "--subgroup", family, "--degree", str(d),
+                "--disc", str(disc), "--inf-places", str(r),
+                "--precision", str(precisions[i % 3]), "--lnC", ("0", "2.5")[i % 2], "--json"]
+        for p, f in places:
+            argv += ["--place", f"{p}^{f}"]
+        code, out, _err = run(capsys, *argv)
+        if code == EXIT_INAPPLICABLE:
+            continue
+        assert code == EXIT_OK, argv
+        for doc in _serialised_xreals(json.loads(out)):
+            x = cli._xreal_from_json(doc)
+            if abs(x.raw[2]) > 10 ** 5 or abs(int(doc["decimal"].split("e")[1])) > 10 ** 4:
+                continue
+            printed, payload = Fraction(doc["decimal"]), x.to_fraction()
+            assert (printed >= payload if doc["rounding"] == "up" else printed <= payload), \
+                (argv, doc)
+            checked += 1
+    assert checked > 1000
+
+
 # ---- each image's invariants once ----
 
 @pytest.mark.parametrize("kind, n, job", [
@@ -414,7 +475,7 @@ def test_bound_job_decides_the_route_once(monkeypatch, capsys):
 
 
 def test_full_level_job_closes_sl2_twice(monkeypatch, capsys):
-    """SL2(Z/13) is closed once for H and once by the tilde's greedy scan;
+    """SL2(Z/13) is closed once for H and once for the tilde's elements;
     the tilde equals H, so no third closure of the whole group follows."""
     full_closures = []
     closure = sl2n.closure

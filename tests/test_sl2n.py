@@ -11,20 +11,23 @@ from jbound.numtheory import sl2_order
 from jbound.sl2n import (
     CapExceeded,
     Mat,
-    SubgroupImage,
     closure,
-    element_order,
     enumerate_group,
-    greedy_closure,
     group_order,
-    identity,
     iter_group,
     mat_inv,
     mat_mul,
     mat_neg,
-    minus_identity,
     pm_elements,
 )
+
+
+def identity(n):
+    return Mat(n, 1, 0, 0, 1)
+
+
+def minus_identity(n):
+    return Mat(n, n - 1, 0, 0, n - 1)
 
 
 def brute_group(n):
@@ -121,22 +124,36 @@ def test_closure_is_a_subgroup_and_lagrange_holds():
 
 def test_closure_equals_tuple_closure_on_random_generator_sets():
     for n, gens in R.random_generator_sets(240, 1729):
-        sub = closure(n, [Mat(n, *g) for g in gens])
-        assert R.unpacked(n, sub.elements) == R.ref_closure(n, gens), (n, gens)
-
-
-def test_greedy_closure_is_the_closure_of_a_subsequence():
-    for n, gens in R.random_generator_sets(240, 1729):
         mats = [Mat(n, *g) for g in gens]
-        sub = greedy_closure(n, mats)
-        assert sub == closure(n, mats), (n, gens)
-        kept = iter(mats)
-        assert all(g in kept for g in sub.generators), (n, gens)
+        sub = closure(n, mats)
+        assert R.unpacked(n, sub.elements) == R.ref_closure(n, gens), (n, gens)
+        # the kept generators are a subsequence of the input and close to the same set
+        rest = iter(mats)
+        assert all(g in rest for g in sub.generators), (n, gens)
+        assert closure(n, sub.generators).elements == sub.elements, (n, gens)
 
 
-def test_greedy_closure_of_nothing_new_is_trivial():
-    sub = greedy_closure(7, [identity(7), identity(7)])
+def test_closure_of_nothing_new_is_trivial():
+    sub = closure(7, [identity(7), identity(7)])
     assert sub.order == 1 and sub.generators == ()
+
+
+def test_closure_skips_generators_already_generated():
+    s, t = Mat(5, 0, 4, 1, 0), Mat(5, 1, 1, 0, 1)
+    sub = closure(5, [s, mat_mul(s, s), t, mat_mul(t, s), mat_inv(t)])
+    assert sub.generators == (s, t)
+    assert sub.order == group_order(5)
+
+
+def test_closure_admits_the_level_before_reading_a_generator():
+    def untouched():
+        pytest.fail("a generator was read before the level was refused")
+        yield  # pragma: no cover
+
+    with pytest.raises(CapExceeded):
+        closure(2 ** 127 - 1, untouched())
+    with pytest.raises(CapExceeded):
+        closure(97, untouched(), cap=100)
 
 
 def test_closure_respects_cap():
@@ -160,26 +177,23 @@ def test_contains_minus_i_flag():
     assert closure(2, []).contains_minus_i
 
 
-def test_from_elements_rejects_non_closed_sets():
+def test_closure_reduces_and_validates_generators():
+    # [[4, 0], [2, 1]] at level 3 reduces to [[1, 0], [2, 1]]; [[0, 3], [2, 1]]
+    # reduces to a matrix of determinant 0
+    lower = closure(3, [Mat(3, 1, 0, 1, 1)])
+    assert lower.order == 3
+    assert closure(3, [Mat(3, 4, 0, 2, 1)]) == lower
     with pytest.raises(ValueError):
-        SubgroupImage.from_elements(3, [identity(3), Mat(3, 1, 1, 0, 1)])
+        closure(3, [Mat(3, 1, 0, 1, 1), Mat(3, 0, 3, 2, 1)])
     with pytest.raises(ValueError):
-        SubgroupImage.from_elements(3, [identity(3)], [Mat(3, 1, 1, 0, 1)])
-
-
-def test_from_elements_rejects_unreduced_entries():
-    # [[0, 3], [2, 1]] at level 3 would pack onto the key of [[1, 0], [2, 1]]
-    lower = [identity(3), Mat(3, 1, 0, 1, 1), Mat(3, 1, 0, 2, 1)]
-    assert SubgroupImage.from_elements(3, lower).order == 3
-    with pytest.raises(ValueError):
-        SubgroupImage.from_elements(3, [*lower[:2], Mat(3, 0, 3, 2, 1)])
+        closure(3, [Mat(5, 1, 1, 0, 1)])
 
 
 def test_element_order():
-    assert element_order(identity(7)) == 1
-    assert element_order(minus_identity(7)) == 2
-    assert element_order(Mat(3, 1, 1, 0, 1)) == 3
-    assert element_order(Mat(5, 0, 4, 1, 0)) == 4
+    assert closure(7, [identity(7)]).order == 1
+    assert closure(7, [minus_identity(7)]).order == 2
+    assert closure(3, [Mat(3, 1, 1, 0, 1)]).order == 3
+    assert closure(5, [Mat(5, 0, 4, 1, 0)]).order == 4
 
 
 def test_pm_elements_doubles_only_without_minus_i():
@@ -187,16 +201,19 @@ def test_pm_elements_doubles_only_without_minus_i():
     assert len(pm_elements(h)) == 2
     g = closure(5, [minus_identity(5)])
     assert len(pm_elements(g)) == 2
-    full = SubgroupImage.from_elements(5, enumerate_group(5),
-                                       [Mat(5, 0, 4, 1, 0), Mat(5, 1, 1, 0, 1)])
+    full = closure(5, [Mat(5, 0, 4, 1, 0), Mat(5, 1, 1, 0, 1)])
+    assert full.elements == {sl2n._key(m) for m in enumerate_group(5)}
     assert pm_elements(full) == full.elements
 
 
 def test_subgroup_equality_is_by_level_and_elements():
-    a = closure(5, [minus_identity(5)])
-    b = SubgroupImage.from_elements(5, [identity(5), minus_identity(5)])
+    s = Mat(5, 0, 4, 1, 0)
+    a = closure(5, [s])
+    b = closure(5, [mat_neg(s)])
+    assert a.generators != b.generators
     assert a == b and hash(a) == hash(b)
-    assert a != closure(7, [minus_identity(7)])
+    assert a != closure(5, [minus_identity(5)])
+    assert closure(5, []) != closure(7, [])
 
 
 # ---- the packed representation ----

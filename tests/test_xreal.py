@@ -255,12 +255,53 @@ def test_exp_overflow_guard_raises():
 # ---- rendering ----
 
 def test_decimal_rendering_is_fixed_format():
-    assert XReal.from_int(6, UP).log().decimal() == "1.791759e+0"
-    assert XReal.from_int(6, UP).log().scale(150).decimal() == "2.687639e+2"
+    # ln 6 = 1.7917594..., exp(300) = 1.9424263...e130: each side prints its own way
+    assert XReal.from_int(6, UP).log().decimal() == "1.791760e+0"
+    assert XReal.from_int(6, DOWN).log().decimal() == "1.791759e+0"
+    assert XReal.from_int(6, UP).log().scale(150).decimal() == "2.687640e+2"
     assert XReal.zero(UP).decimal() == "0.0e+0"
     assert XReal.from_int(-3, UP).decimal() == "-3.000000e+0"
     assert XReal.from_fraction(Fraction(1, 3), DOWN).decimal() == "3.333333e-1"
-    assert XReal.from_int(300, UP).exp().decimal() == "1.942426e+130"
+    assert XReal.from_fraction(Fraction(1, 3), UP).decimal() == "3.333334e-1"
+    assert XReal.from_int(300, UP).exp().decimal() == "1.942427e+130"
+    assert XReal.from_int(300, DOWN).exp().decimal() == "1.942426e+130"
+
+
+def test_exact_decimal_payloads_print_unchanged():
+    for value in (-3, 5 * 10**6, 1234567 * 10**20, Fraction(1, 2), Fraction(-3, 16)):
+        for rounding in (UP, DOWN):
+            x = XReal.from_fraction(value, rounding, prec=256)
+            assert x.to_fraction() == value
+            assert Fraction(x.decimal()) == value, (value, rounding)
+
+
+def test_decimal_moves_across_a_power_of_ten():
+    # both 99999995 and -99999995 print to nearest as 1.000000e+8 in magnitude
+    assert XReal.from_int(99999995, DOWN).decimal() == "9.999999e+7"
+    assert XReal.from_int(99999995, UP).decimal() == "1.000000e+8"
+    assert XReal.from_int(-99999995, UP).decimal() == "-9.999999e+7"
+    assert XReal.from_int(-99999995, DOWN).decimal() == "-1.000000e+8"
+
+
+def test_decimal_is_on_the_payload_side_for_random_payloads():
+    """An Up decimal, read as an exact fraction, is at least its payload and a
+    Down decimal at most; both stay within two units of their last digit."""
+    rng = random.Random(8192)
+    for _ in range(1500):
+        prec = rng.randint(8, 8192)
+        man = rng.getrandbits(prec) | 1
+        raw = from_man_exp(rng.choice([1, -1]) * man, rng.randint(-2 * prec, prec) - prec,
+                           prec, "n")
+        for rounding in (UP, DOWN):
+            x = XReal(raw, rounding, prec)
+            text = x.decimal()
+            printed, payload = Fraction(text), x.to_fraction()
+            if rounding is UP:
+                assert printed >= payload, (raw, text)
+            else:
+                assert printed <= payload, (raw, text)
+            ulp = Fraction(10) ** (int(text.split("e")[1]) - 6)
+            assert abs(printed - payload) < 2 * ulp, (raw, text)
 
 
 def test_payload_rel_diff():
