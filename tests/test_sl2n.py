@@ -127,7 +127,14 @@ def test_closure_equals_tuple_closure_on_random_generator_sets():
         mats = [Mat(n, *g) for g in gens]
         sub = closure(n, mats)
         assert R.unpacked(n, sub.elements) == R.ref_closure(n, gens), (n, gens)
-        # the kept generators are a subsequence of the input and close to the same set
+
+
+def test_greedy_closure_is_the_closure_of_a_subsequence():
+    # closure keeps only the generators that enlarge the group so far: they are
+    # a subsequence of the input and close to the same set
+    for n, gens in R.random_generator_sets(240, 1729):
+        mats = [Mat(n, *g) for g in gens]
+        sub = closure(n, mats)
         rest = iter(mats)
         assert all(g in rest for g in sub.generators), (n, gens)
         assert closure(n, sub.generators).elements == sub.elements, (n, gens)
