@@ -10,9 +10,25 @@ steps where a sweep over the group would take O(N^3).  The elements g with
 g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|, with centralizer order
 |C(s)| = |SL2(Z/N)| / |Cl(s)|, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
 and nu3 likewise with t.  The classes are packed keys, like the element
-sets of sl2n, so they meet <H, -I> as they are.  The genus follows from the
+sets of sl2n, so they meet H as they are.  The genus follows from the
 exact integer identity 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve
 only depends on <H, -I>, and all counts are taken there.
+
+Both counts are taken one prime power at a time when H splits.  SL2(Z/N) is
+the product of the SL2(Z/q) over the prime powers q || N, and H lies in the
+product of its images H_q mod q; it equals that product exactly when
+|H| = prod |H_q|, each H_q being the closure of H's generators mod q.  Then
+vectors, orbits and conjugacy classes factor too, and with a_F orbits of a
+factor F on vectors mod q, b_F of them their own negatives,
+x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
+
+    nuInf = (prod a_F + prod b_F) / 2,
+    nu2   = |SL2(Z/N)| (prod x_F + prod y_F) / (2 |Cl(s)| |H|),
+
+and nu3 likewise with t, whether or not H holds -I.  An image that does not
+split, or a prime-power level, has the one factor H, and the same formulas
+are then the counts at level N.  The classical families always split, and so
+do many tildes and --gens images.
 
 The "tilde" subgroup is the subgroup generated by every elliptic element of
 <H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, each taken with the sign that
@@ -20,7 +36,9 @@ puts it in H, and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
 checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
-closure of those elements in key order, or H itself when they agree.
+closure of those elements in key order at level N, or H itself when they
+agree; when the elliptic counts are zero it is the trivial image, and the
+classes of level N are not built.
 
 Each classical family is the closure of its generators, checked against the
 family's exact order: none for Gamma(N), T for Gamma1(N), T and then each
@@ -28,8 +46,9 @@ diag(u, u^-1) that enlarges the group for Gamma0(N), and S and T for
 SL2(Z/N).  applicability reads the invariants of H and of
 its tilde once, through the cached curve_invariants, and returns both, so
 callers never count cusps themselves; each of the four invariant caches
-keeps its 64 most recent entries.  Every image is built by sl2n.closure,
-which refuses a level above the cap, so nothing here checks the cap again.
+keeps its 64 most recent entries, and the factor lists and per-factor counts
+keep their 4 most recent.  Every image is built by sl2n.closure, which
+refuses a level above the cap, so nothing here checks the cap again.
 """
 
 from __future__ import annotations
@@ -38,21 +57,21 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 
 from .numtheory import euler_phi, prime_factors
 from .sl2n import (
     Mat,
     SubgroupImage,
-    _key,
     _mat,
+    _negated,
     closure,
     group_order,
-    mat_neg,
     pm_elements,
 )
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
+_LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
 
 
 class SubgroupKind(str, enum.Enum):
@@ -128,27 +147,76 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     return H
 
 
-def cusp_count(H: SubgroupImage) -> int:
-    """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1."""
+def _prime_powers(n: int) -> list[int]:
+    """The prime powers q || n, in increasing order of their primes."""
+    out = []
+    for p in prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        out.append(q)
+    return out
+
+
+@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
+def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
+    """The images H_q of H mod each prime power q || N when H is their
+    direct product, which holds exactly when |H| = prod |H_q|; else (H,)."""
     n = H.level
-    action = [(m.a, m.b, m.c, m.d) for m in H.generators] + [(n - 1, 0, 0, n - 1)]
-    seen: set[tuple[int, int]] = set()
-    count = 0
+    qs = _prime_powers(n)
+    if len(qs) == 1:
+        return (H,)
+    local = tuple(closure(q, [Mat(q, m.a % q, m.b % q, m.c % q, m.d % q)
+                              for m in H.generators])
+                  for q in qs)
+    return local if prod(F.order for F in local) == H.order else (H,)
+
+
+@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
+def _orbit_counts(F: SubgroupImage) -> tuple[int, int]:
+    """The orbits of F on column vectors (a; c) with gcd(a, c, q) = 1, and
+    how many of them are their own negatives.  seen[a*q + c] marks (a; c)."""
+    n = F.level
+    action = [(m.a, m.b, m.c, m.d) for m in F.generators]
+    seen = bytearray(n * n)
+    count = fixed = 0
     for a0 in range(n):
+        g, row, neg_row = gcd(a0, n), a0 * n, (n - a0) % n * n
         for c0 in range(n):
-            if gcd(gcd(a0, c0), n) != 1 or (a0, c0) in seen:
+            v = row + c0
+            if seen[v] or (g != 1 and gcd(g, c0) != 1):
                 continue
+            neg = neg_row + (n - c0) % n
+            earlier = seen[neg]  # then -O is an earlier orbit, not O
             count += 1
+            seen[v] = 1
             stack = [(a0, c0)]
-            seen.add((a0, c0))
             while stack:
                 a, c = stack.pop()
                 for ma, mb, mc, md in action:
-                    w = ((ma * a + mb * c) % n, (mc * a + md * c) % n)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return count
+                    a1, c1 = (ma * a + mb * c) % n, (mc * a + md * c) % n
+                    w = a1 * n + c1
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append((a1, c1))
+            fixed += not earlier and seen[neg]
+    return count, fixed
+
+
+def cusp_count(H: SubgroupImage) -> int:
+    """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1.
+
+    The H-orbits are the products of the orbits of the factors, and -I
+    fixes a product exactly when it fixes each factor, so with a_F orbits
+    of the factor F and b_F of them fixed by -I there are prod a_F
+    H-orbits, prod b_F of them fixed, and (prod a_F + prod b_F) / 2 orbits
+    of <H, -I>, whether or not H holds -I."""
+    a = b = 1
+    for F in _factors(H):
+        fa, fb = _orbit_counts(F)
+        a *= fa
+        b *= fb
+    return (a + b) // 2
 
 
 def _conjugacy_class(n: int, x: tuple) -> frozenset:
@@ -175,18 +243,41 @@ def _elliptic_classes(n: int) -> tuple[frozenset, frozenset]:
             _conjugacy_class(n, (0, n - 1, 1, n - 1)))
 
 
+@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
+def _class_counts(F: SubgroupImage) -> tuple[tuple[int, int, int], ...]:
+    """(|Cl|, |Cl & F|, |Cl & -F|) for the classes Cl(s) and Cl(t) at F's level."""
+    out = []
+    for cls in _elliptic_classes(F.level):
+        inside = len(cls & F.elements)
+        if F.contains_minus_i:
+            negated = inside
+        else:  # |Cl & -F| = |-Cl & F|: negate the smaller set
+            small, large = sorted((cls, F.elements), key=len)
+            negated = len(large.intersection(_negated(F.level, small)))
+        out.append((len(cls), inside, negated))
+    return tuple(out)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def elliptic_counts(H: SubgroupImage) -> EllipticData:
     """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
 
     The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
     where |C(s)| = |G| / |Cl(s)| is the centralizer order; dividing by
-    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0."""
+    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0.
+    Classes factor like H: over the factors F, x = |Cl(s) & H| is
+    prod |Cl(s_F) & F| and y = |Cl(s) & -H| is prod |Cl(s_F) & -F|, and
+    nu2 = |G| (x + y) / (2 |Cl(s)| |H|) whether or not H holds -I (when it
+    does, x = y and <H, -I> = H)."""
     order = group_order(H.level)
-    hpm = pm_elements(H)
+    factors = _factors(H)
     nus = []
-    for cls in _elliptic_classes(H.level):
-        nu, rem = divmod(order * len(cls & hpm), len(cls) * len(hpm))
+    for k in range(2):
+        size = inside = negated = 1
+        for F in factors:
+            c, x, y = _class_counts(F)[k]
+            size, inside, negated = size * c, inside * x, negated * y
+        nu, rem = divmod(order * (inside + negated), 2 * size * H.order)
         if rem:
             raise AssertionError("internal: elliptic count is not an integer")
         nus.append(nu)
@@ -217,15 +308,18 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
 def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
-    it to.  No elliptic elements means the trivial image.  One closure of
+    it to.  No elliptic elements, which elliptic counts of zero show without
+    the level's classes, means the trivial image.  Otherwise one closure of
     them in key order builds it, and it is H itself when its order is |H|."""
     n = H.level
+    if elliptic_counts(H) == EllipticData(0, 0):
+        return H if H.order == 1 else closure(n, [])
     elliptic = set().union(*_elliptic_classes(n))
     signed = elliptic & H.elements
     if not H.contains_minus_i:  # key in H and -key in H cannot both hold
-        signed |= {key for key in H.elements if _key(mat_neg(_mat(n, key))) in elliptic}
+        signed |= H.elements.intersection(_negated(n, elliptic))
     elems = [_mat(n, key) for key in sorted(signed)]
-    if elems and H.contains_minus_i:
+    if H.contains_minus_i:
         elems.append(Mat(n, n - 1, 0, 0, n - 1))  # -I
     tilde = closure(n, elems)
     return H if tilde.order == H.order else tilde

@@ -185,8 +185,18 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
     return SubgroupImage(n, frozenset(seen), tuple(kept), (n - 1) * ident in seen)
 
 
+def _negated(n: int, keys: Iterable[int]) -> Iterator[int]:
+    """The packed key of -x for each packed key x at level n."""
+    n2 = n * n
+    for key in keys:
+        ab, cd = divmod(key, n2)
+        a, b = divmod(ab, n)
+        c, d = divmod(cd, n)
+        yield (((n - a) % n * n + (n - b) % n) * n + (n - c) % n) * n + (n - d) % n
+
+
 def pm_elements(H: SubgroupImage) -> frozenset[int]:
     """The element set of <H, -I>, packed."""
     if H.contains_minus_i:
         return H.elements
-    return H.elements | frozenset(_key(mat_neg(_mat(H.level, key))) for key in H.elements)
+    return H.elements | frozenset(_negated(H.level, H.elements))

@@ -3,11 +3,12 @@ subgroup, and route applicability — checked against classical tables and a
 brute-force recomputation at small levels."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import reference as R
+from jbound import invariants
 from jbound.invariants import (
     Applicability,
     CurveInvariants,
@@ -463,6 +464,93 @@ def test_tilde_contains_every_elliptic_element():
     assert verify_unramified(h, t)
     assert curve_invariants(t).nu_inf == 2
     assert applicability(h).verdict is Verdict.INAPPLICABLE
+
+
+# ---- counts one prime power at a time ----
+
+def prime_powers(n):
+    """The prime powers q || n."""
+    out = []
+    for p in R.prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        out.append(q)
+    return out
+
+
+def one_factor_counts(h, monkeypatch):
+    """cusp_count and elliptic_counts of h with its factor list forced to
+    [h]: the computation at the full level N."""
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_factors", lambda h: (h,))
+        return cusp_count(h), elliptic_counts.__wrapped__(h)
+
+
+def split_factors(h):
+    """The factors of h, checked: one per prime power q || N exactly when
+    |h| = prod |h_q|, and then h_q is the image of h mod q."""
+    n = h.level
+    local = [closure(q, [Mat(q, m.a % q, m.b % q, m.c % q, m.d % q)
+                         for m in h.generators]) for q in prime_powers(n)]
+    orders = [f.order for f in local]
+    factors = invariants._factors(h)
+    if len(local) > 1 and h.order == prod(orders):
+        assert list(factors) == local, h
+    else:
+        assert factors == (h,), h
+    return factors
+
+
+def test_local_counts_equal_one_factor_counts(monkeypatch):
+    images = [standard_subgroup(kind, n) for kind in SubgroupKind
+              for n in range(2, 41 if kind is SubgroupKind.FULL else 61)]
+    images += [tilde_subgroup(h) for h in images]
+    images += random_subgroups(240, 1729)
+    split = 0
+    for h in images:
+        if len(split_factors(h)) == 1:
+            continue
+        split += 1
+        assert (cusp_count(h), elliptic_counts(h)) == one_factor_counts(h, monkeypatch), h
+    # every family image at a level with two or more primes splits
+    mixed = [len(prime_powers(n)) > 1 for n in range(2, 61)]
+    assert split >= 3 * sum(mixed) + sum(mixed[:39])
+
+
+def test_non_split_image_falls_back_to_one_factor():
+    # <-I> at 15: |H| = 2, but its images mod 3 and mod 5 have order 2 each
+    n = 15
+    h = closure(n, [minus_identity(n)])
+    assert [f.order for f in (closure(q, [minus_identity(q)]) for q in (3, 5))] == [2, 2]
+    assert invariants._factors(h) == (h,)
+    inv = curve_invariants(h)
+    nu2, nu3, _stab = R.ref_elliptic_sweep(n, R.unpacked(n, h.elements))
+    assert (inv.nu_inf, inv.nu2, inv.nu3) == (R.dn(n) // n, nu2, nu3)
+    assert inv == brute_invariants(h)
+
+
+@pytest.mark.parametrize("kind, n", [("gamma1", 12), ("gamma", 10), ("gamma0", 12)])
+def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, n):
+    """Elliptic counts of zero come from the factors' classes, and the tilde
+    is then the trivial image without the classes of level N."""
+    built = []
+    classes = invariants._elliptic_classes
+
+    def recording(level):
+        built.append(level)
+        return classes(level)
+
+    monkeypatch.setattr(invariants, "_elliptic_classes", recording)
+    for cached in (invariants.standard_subgroup, elliptic_counts, curve_invariants,
+                   tilde_subgroup, invariants._factors, invariants._class_counts):
+        cached.cache_clear()
+    h = standard_subgroup(kind, n)
+    a = applicability(h)
+    assert (a.invariants.nu2, a.invariants.nu3) == (0, 0)
+    assert a.tilde_image == closure(n, []) and a.tilde_image.order == 1
+    assert n not in built
+    assert sorted(set(built)) == sorted(prime_powers(n))
 
 
 # ---- Diamond-Shurman closed forms (A First Course in Modular Forms, 3.9) ----
