@@ -493,9 +493,8 @@ def split_factors(h):
     n = h.level
     local = [closure(q, [Mat(q, m.a % q, m.b % q, m.c % q, m.d % q)
                          for m in h.generators]) for q in prime_powers(n)]
-    orders = [f.order for f in local]
     factors = invariants._factors(h)
-    if len(local) > 1 and h.order == prod(orders):
+    if len(local) > 1 and h.order == prod(f.order for f in local):
         assert list(factors) == local, h
     else:
         assert factors == (h,), h
