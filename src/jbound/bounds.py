@@ -7,6 +7,13 @@ materialized.  The one genuinely huge intermediate that must appear as a
 *value* — the tower exponent Lambda — still fits comfortably, because only
 its exponent integer grows.  All functions take a rounding direction
 (default Up, for reported bounds) and a mantissa precision in bits.
+
+Each formula is written once.  The three-cusp route (``Main``) and the
+covering route (``Main1``) are one formula in a factor k on every term: k = 1
+with ln Delta0 for the first, k = d_L with ln Delta for the second
+(``_route``).  Delta0, Delta and Delta1 are one shape (``_ln_delta``) in the
+field degree, a log-discriminant term (ln|D|, ln D* or ln|D0|), the same k and
+a log-places term.  A covering bound evaluates Lambda and ln D* once each.
 """
 
 from __future__ import annotations
@@ -145,28 +152,23 @@ def p_max(sset: SSetSpec) -> int:
     return max((p for p, _f in sset.finite_places), default=1)
 
 
-def ln_dstar(n: int, field: NumberFieldSpec, sset: SSetSpec,
-             rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC,
-             _zero_lambda_term: bool = False) -> XReal:
-    """ln of the discriminant-growth bound:
-    d_n*ln|D| + (h_S + (1 + ln 1728)*Lambda)*d*d_n, with Lambda materialized
-    in extended range.  ``_zero_lambda_term`` replaces Lambda by an exact 0 —
-    a structural test hook only."""
+def _ln_dstar(n: int, field: NumberFieldSpec, sset: SSetSpec, lam: XReal,
+              rounding: Rounding, prec: int) -> XReal:
+    """ln D* given the value ``lam`` of the tower constant Lambda."""
     _check_compatible(field, sset)
     dn = d_n(n)
     disc_term = _ln_int(field.abs_disc, rounding, prec).scale(dn)
-    if _zero_lambda_term:
-        lam = XReal.zero(rounding, prec)
-    else:
-        lam = lambda_ln(n, rounding, prec).exp()
     one_plus = XReal.from_int(1, rounding, prec).add(_ln_int(1728, rounding, prec))
     inner = h_s(sset, field, rounding, prec).add(one_plus.mul(lam))
     return disc_term.add(inner.scale(field.d * dn))
 
 
-def _neg_d_ln_d(d: int, rounding: Rounding, prec: int) -> XReal:
-    # compute ln d on the flipped side, then the negative scale flips it back
-    return _ln_int(d, rounding.flipped(), prec).scale(-d)
+def ln_dstar(n: int, field: NumberFieldSpec, sset: SSetSpec,
+             rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> XReal:
+    """ln of the discriminant-growth bound:
+    d_n*ln|D| + (h_S + (1 + ln 1728)*Lambda)*d*d_n, with Lambda materialized
+    in extended range."""
+    return _ln_dstar(n, field, sset, lambda_ln(n, rounding, prec).exp(), rounding, prec)
 
 
 def _places_log_sum(sset: SSetSpec, rounding: Rounding, prec: int) -> XReal:
@@ -177,40 +179,37 @@ def _places_log_sum(sset: SSetSpec, rounding: Rounding, prec: int) -> XReal:
     return acc
 
 
+def _ln_delta(level: int, d: int, ln_x: XReal, k: int, ln_tail: XReal,
+              rounding: Rounding, prec: int) -> XReal:
+    """The one shape of ln Delta0, ln Delta and ln Delta1:
+    -d ln d + B/2 + d*phi*k*ln B + phi*k*ln_tail, B = d*k*L*ln L + phi*ln_x."""
+    if level < 2:
+        raise ValueError(f"level must be >= 2, got {level}")
+    phi = euler_phi(level)
+    big = (_ln_int(level, rounding, prec).scale(d * k * level)
+           .add(ln_x.scale(phi)))
+    # ln d on the flipped side, then the negative scale flips it back
+    return (_ln_int(d, rounding.flipped(), prec).scale(-d)
+            .add(big.scale(Fraction(1, 2)))
+            .add(big.log().scale(d * phi * k))
+            .add(ln_tail.scale(phi * k)))
+
+
 def ln_delta0(level: int, field: NumberFieldSpec, sset: SSetSpec,
               rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> XReal:
     """ln Delta0(level) = -d ln d + (d*L*ln L + phi*ln|D|)/2
     + d*phi*ln(d*L*ln L + phi*ln|D|) + phi * sum ln(f ln p)."""
-    if level < 2:
-        raise ValueError(f"level must be >= 2, got {level}")
     _check_compatible(field, sset)
-    d = field.d
-    phi = euler_phi(level)
-    big = (_ln_int(level, rounding, prec).scale(d * level)
-           .add(_ln_int(field.abs_disc, rounding, prec).scale(phi)))
-    return (_neg_d_ln_d(d, rounding, prec)
-            .add(big.scale(Fraction(1, 2)))
-            .add(big.log().scale(d * phi))
-            .add(_places_log_sum(sset, rounding, prec).scale(phi)))
+    return _ln_delta(level, field.d, _ln_int(field.abs_disc, rounding, prec), 1,
+                     _places_log_sum(sset, rounding, prec), rounding, prec)
 
 
 def ln_delta(level: int, field: NumberFieldSpec, sset: SSetSpec,
              rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> XReal:
     """ln Delta(level): like ln_delta0 but with the discriminant-growth bound
     in place of |D| and every exponent inflated by d_level."""
-    if level < 2:
-        raise ValueError(f"level must be >= 2, got {level}")
-    _check_compatible(field, sset)
-    d = field.d
-    phi = euler_phi(level)
-    dl = d_n(level)
-    lnds = ln_dstar(level, field, sset, rounding, prec)
-    big = (_ln_int(level, rounding, prec).scale(level * d * dl)
-           .add(lnds.scale(phi)))
-    return (_neg_d_ln_d(d, rounding, prec)
-            .add(big.scale(Fraction(1, 2)))
-            .add(big.log().scale(phi * d * dl))
-            .add(_places_log_sum(sset, rounding, prec).scale(phi * dl)))
+    return _ln_delta(level, field.d, ln_dstar(level, field, sset, rounding, prec),
+                     d_n(level), _places_log_sum(sset, rounding, prec), rounding, prec)
 
 
 def _log10(x: XReal, rounding: Rounding, prec: int) -> XReal:
@@ -228,62 +227,51 @@ _NOTE_M_SELECTION = (
     "interpretation choice")
 
 
+def _route(theorem: Theorem, level: int, k: int, field: NumberFieldSpec,
+           sset: SSetSpec, ln_c, delta: XReal, terms: dict,
+           rounding: Rounding, prec: int, notes: tuple = ()) -> BoundReport:
+    """ln bound = 2sLk(lnC + ln(d s k^2 L^2)) + 3sLk ln ln(dLk) + dLk ln p + delta;
+    ``terms`` names ``delta`` and the level quantities behind it."""
+    s = sset.s
+    d = field.d
+    lnc = _as_xreal(ln_c, rounding, prec)
+    cterm = (lnc.add(_ln_int(d * s * k * k * level * level, rounding, prec))
+             .scale(2 * s * level * k))
+    logterm = _ln_int(d * level * k, rounding, prec).log().scale(3 * s * level * k)
+    pterm = _ln_int(p_max(sset), rounding, prec).scale(d * level * k)
+    ln_bound = cterm.add(logterm).add(pterm).add(delta)
+    components = {"lnBound": ln_bound, "lnCTerm": cterm, "lnLogTerm": logterm,
+                  "lnPTerm": pterm, **terms}
+    return BoundReport(theorem, level, _log10(ln_bound, rounding, prec),
+                       2 * s * level * k, components, notes)
+
+
 def bound_main(n: int, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
                rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> BoundReport:
     """Three-cusp route: ln bound = 2sL(lnC + ln(d s L^2)) + 3sL ln ln(dL)
     + dL ln p + ln Delta0(L), at L = n, or L = M when n is a prime power."""
     level = m_of(n) or n
-    s = sset.s
-    d = field.d
-    p = p_max(sset)
-    lnc = _as_xreal(ln_c, rounding, prec)
-    cterm = lnc.add(_ln_int(d * s * level * level, rounding, prec)).scale(2 * s * level)
-    logterm = _ln_int(d * level, rounding, prec).log().scale(3 * s * level)
-    pterm = _ln_int(p, rounding, prec).scale(d * level)
     delta0 = ln_delta0(level, field, sset, rounding, prec)
-    ln_bound = cterm.add(logterm).add(pterm).add(delta0)
-    components = {
-        "lnBound": ln_bound,
-        "lnCTerm": cterm,
-        "lnLogTerm": logterm,
-        "lnPTerm": pterm,
-        "lnDelta0": delta0,
-    }
-    return BoundReport(Theorem.MAIN, level, _log10(ln_bound, rounding, prec),
-                       2 * s * level, components)
+    return _route(Theorem.MAIN, level, 1, field, sset, ln_c, delta0,
+                  {"lnDelta0": delta0}, rounding, prec)
 
 
 def bound_main1(n: int, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
                 rounding: Rounding = Rounding.UP, prec: int = DEFAULT_PREC) -> BoundReport:
-    """Covering route: ln bound = 2sLd_L(lnC + ln(d s d_L^2 L^2))
-    + 3sLd_L ln ln(d L d_L) + d L d_L ln p + ln Delta(L), with the full
+    """Covering route: the three-cusp formula with every term inflated by
+    k = d_L and ln Delta(L) in place of ln Delta0(L), with the full
     substitution L = M when n is a prime power."""
     m = m_of(n)
     level = m or n
     dl = d_n(level)
-    s = sset.s
-    d = field.d
-    p = p_max(sset)
-    lnc = _as_xreal(ln_c, rounding, prec)
-    cterm = (lnc.add(_ln_int(d * s * dl * dl * level * level, rounding, prec))
-             .scale(2 * s * level * dl))
-    logterm = _ln_int(d * level * dl, rounding, prec).log().scale(3 * s * level * dl)
-    pterm = _ln_int(p, rounding, prec).scale(d * level * dl)
-    delta = ln_delta(level, field, sset, rounding, prec)
-    ln_bound = cterm.add(logterm).add(pterm).add(delta)
-    components = {
-        "lnBound": ln_bound,
-        "lnCTerm": cterm,
-        "lnLogTerm": logterm,
-        "lnPTerm": pterm,
-        "lnDelta": delta,
-        "lnDstar": ln_dstar(level, field, sset, rounding, prec),
-        "lnLambda": lambda_ln(level, rounding, prec),
-    }
+    lam = lambda_ln(level, rounding, prec)
+    lnds = _ln_dstar(level, field, sset, lam.exp(), rounding, prec)
+    delta = _ln_delta(level, field.d, lnds, dl, _places_log_sum(sset, rounding, prec),
+                      rounding, prec)
     theorem = Theorem.MAIN1_PRIME_POWER if m else Theorem.MAIN1
     notes = (_NOTE_M_SUBSTITUTION, _NOTE_M_SELECTION) if m else ()
-    return BoundReport(theorem, level, _log10(ln_bound, rounding, prec),
-                       2 * s * level * dl, components, notes)
+    return _route(theorem, level, dl, field, sset, ln_c, delta,
+                  {"lnDelta": delta, "lnDstar": lnds, "lnLambda": lam}, rounding, prec, notes)
 
 
 def bound_auto(app: Applicability, field: NumberFieldSpec, sset: SSetSpec, ln_c=0,
@@ -302,17 +290,9 @@ def delta1_ln(level: int, field0: NumberFieldSpec, s0_product: XReal, s0: int,
     + (d0*L*ln L + phi*ln|D0|)/2 + d0*phi*ln(d0*L*ln L + phi*ln|D0|)
     + phi*ln(S0 product).  ``s0_product`` is the product of log norms over the
     finite places of the lifted S-set, as a positive extended-range value."""
-    if level < 2:
-        raise ValueError(f"level must be >= 2, got {level}")
     if s0 < 1:
         raise ValueError(f"the lifted S-set size must be >= 1, got {s0}")
     if s0_product.rounding is not rounding:
         raise ValueError(f"s0_product must be rounded {rounding.name}")
-    d0 = field0.d
-    phi = euler_phi(level)
-    big = (_ln_int(level, rounding, prec).scale(d0 * level)
-           .add(_ln_int(field0.abs_disc, rounding, prec).scale(phi)))
-    return (_neg_d_ln_d(d0, rounding, prec)
-            .add(big.scale(Fraction(1, 2)))
-            .add(big.log().scale(d0 * phi))
-            .add(s0_product.log().scale(phi)))
+    return _ln_delta(level, field0.d, _ln_int(field0.abs_disc, rounding, prec), 1,
+                     s0_product.log(), rounding, prec)

@@ -26,6 +26,7 @@ from .bounds import (
     SSetSpec,
     Theorem,
     _check_compatible,
+    _log10,
     bound_auto,
 )
 from .invariants import (
@@ -384,9 +385,7 @@ def _render_bound(report: Report, out: list) -> None:
     threshold = XReal.from_int(_LOG10_BREAKDOWN_THRESHOLD,
                                b.log10_bound.rounding, b.log10_bound.prec)
     if b.log10_bound > threshold:
-        rounding, prec = b.log10_bound.rounding, b.log10_bound.prec
-        need = rounding.flipped()
-        loglog = b.log10_bound.log().div(XReal.from_int(10, need, prec).log())
+        loglog = _log10(b.log10_bound.log(), b.log10_bound.rounding, b.log10_bound.prec)
         out.append(f"log10(log10(bound)) = {loglog.decimal()} ({_marker(loglog)})")
     for name in sorted(b.components):
         x = b.components[name]

@@ -58,6 +58,7 @@ from mpmath.libmp import (
 DEFAULT_PREC = 128
 _GUARD_BITS = 32
 _PAD_SHIFT = 4  # pad = 2**_PAD_SHIFT = 16 ulps at working precision
+_DIGITS = 7  # significant digits of a printed decimal
 _CHECK_PREC = 64  # a printed decimal's digits are worked out at this precision
 # exp() refuses inputs above ~2**(2**28): the result's exponent integer alone
 # would need more than 32 MB.  Quantities past this point must stay in log form.
@@ -160,12 +161,12 @@ class XReal:
         """The payload as a machine float (may overflow for huge exponents)."""
         return to_float(self.raw)
 
-    def decimal(self, digits: int = 7) -> str:
+    def decimal(self) -> str:
         """Decimal rendering 'X.XXXXXXe+YYY', faithful for any exponent size and
         on the payload's side: an Up value never prints below its payload, a
         Down value never above it.  The to-nearest rendering keeps its exponent,
         and its digits are those of the payload rounded in its direction."""
-        text = to_str(self.raw, digits, strip_zeros=False, min_fixed=1, max_fixed=0,
+        text = to_str(self.raw, _DIGITS, strip_zeros=False, min_fixed=1, max_fixed=0,
                       show_zero_exponent=True)
         if self.raw[1] == 0:  # zero is exact; inf and nan have no side
             return text
@@ -277,36 +278,6 @@ class XReal:
 
     def __ge__(self, other: "XReal") -> bool:
         return self.cmp(other) >= 0
-
-    # ---- operator sugar ----
-
-    def __add__(self, other):
-        return self.add(other) if isinstance(other, XReal) else NotImplemented
-
-    def __sub__(self, other):
-        return self.sub(other) if isinstance(other, XReal) else NotImplemented
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        if isinstance(other, XReal):
-            return self.mul(other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, XReal):
-            return self.div(other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / other)
-        return NotImplemented
 
 
 def payload_rel_diff(a: XReal, b: XReal) -> float:

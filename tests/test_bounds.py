@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 import reference as R
+from jbound import bounds
 from jbound.bounds import (
     BoundReport,
     InapplicableError,
@@ -263,15 +264,33 @@ def test_h_s_and_p_max():
         assert rel(got, (2 * mp.log(2) + mp.log(3)) / 4) < 1e-25
 
 
-def test_zero_lambda_hook_isolates_tower_term():
-    # with the tower constant forced to zero and trivial data, ln D* collapses
-    x = ln_dstar(7, NumberFieldSpec(3, 1), SSetSpec(2), UP,
-                 _zero_lambda_term=True)
+def test_zero_lambda_isolates_the_disc_and_h_s_terms_of_dstar():
+    # with the tower constant Lambda = 0 and trivial data, ln D* collapses;
+    # elsewhere Lambda swamps the disc and h_S terms
+    zero = XReal.zero(UP)
+    x = bounds._ln_dstar(7, NumberFieldSpec(3, 1), SSetSpec(2), zero, UP, 128)
     assert x.is_zero
-    y = ln_dstar(7, NumberFieldSpec(1, 1), SSetSpec(1, ((2, 1),)), UP,
-                 _zero_lambda_term=True)
+    y = bounds._ln_dstar(7, NumberFieldSpec(1, 1), SSetSpec(1, ((2, 1),)), zero, UP, 128)
     with mp.workdps(60):
         assert rel(y, 168 * mp.log(2)) < 1e-25
+
+
+@pytest.mark.parametrize("n", [6, 17])
+def test_covering_bound_evaluates_lambda_once(monkeypatch, n):
+    field, sset = NumberFieldSpec(2, 23), SSetSpec(1, ((3, 1),))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_ln(*args)
+
+    monkeypatch.setattr(bounds, "lambda_ln", counted)
+    rep = bound_main1(n, field, sset, 0, UP, 256)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    level = rep.level_used
+    assert rep.components["lnDstar"].raw == ln_dstar(level, field, sset, UP, 256).raw
+    assert rep.components["lnLambda"].raw == lambda_ln(level, UP, 256).raw
 
 
 def test_s_counts_infinite_and_finite_places():

@@ -532,6 +532,29 @@ def test_tables_match_goldens(capsys):
         assert got == path.read_text(), family
 
 
+BOUND_GOLDENS = {
+    "gamma0_11": ["--level", "11", "--subgroup", "gamma0"],
+    "gamma0_17": ["--level", "17", "--subgroup", "gamma0"],
+    "gamma0_12": ["--level", "12", "--subgroup", "gamma0"],
+    "gamma_2": ["--level", "2", "--subgroup", "gamma"],
+    "gamma0_11_d2_disc23_place3": ["--level", "11", "--subgroup", "gamma0",
+                                   "--degree", "2", "--disc", "23", "--place", "3"],
+    "gamma0_17_prec1024": ["--level", "17", "--subgroup", "gamma0",
+                           "--precision", "1024"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_GOLDENS))
+def test_bound_reports_match_goldens(capsys, name):
+    # every payload and printed decimal of both routes, in both renderings
+    import pathlib
+    golden_dir = pathlib.Path(__file__).parent / "golden"
+    for ext, extra in (("txt", []), ("json", ["--json"])):
+        code, out, _err = run(capsys, "bound", *BOUND_GOLDENS[name], *extra)
+        assert code == EXIT_OK
+        assert out == (golden_dir / f"bound_{name}.{ext}").read_text(), ext
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "jbound", "tables", "--family", "gamma0",

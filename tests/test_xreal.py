@@ -315,15 +315,3 @@ def test_comparisons_are_payload_only():
     a = XReal.from_int(2, UP)
     b = XReal.from_int(3, DOWN)
     assert a < b and b > a and a <= a and b >= b
-
-
-def test_operator_sugar_matches_methods():
-    a = XReal.from_int(5, UP)
-    b = XReal.from_int(2, UP)
-    bd = XReal.from_int(2, DOWN)
-    assert (a + b).to_fraction() == a.add(b).to_fraction()
-    assert (a - bd).to_fraction() == a.sub(bd).to_fraction()
-    assert (a * b).to_fraction() == a.mul(b).to_fraction()
-    assert (a / bd).to_fraction() == a.div(bd).to_fraction()
-    assert (3 * a).to_fraction() == 15
-    assert (-a).rounding is DOWN
