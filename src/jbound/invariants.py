@@ -4,15 +4,15 @@ route decision for the height-bound theorems.
 A subgroup is handled through its image H in SL2(Z/N).  Cusps are orbits of
 <H, -I> on unimodular column vectors.  Elliptic points come from the
 conjugacy classes Cl(s) and Cl(t) of the order-4 element s = [[0,-1],[1,0]]
-and the order-3 element t = [[0,-1],[1,-1]]: each class is the orbit of its
-element under conjugation by the generators S and T of SL2(Z/N), O(N^2)
-steps where a sweep over the group would take O(N^3).  The elements g with
-g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|, with centralizer order
-|C(s)| = |SL2(Z/N)| / |Cl(s)|, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
-and nu3 likewise with t.  The classes are packed keys, like the element
-sets of sl2n, so they meet H as they are.  The genus follows from the
-exact integer identity 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve
-only depends on <H, -I>, and all counts are taken there.
+and the order-3 element t = [[0,-1],[1,-1]], which are never built: x lies in
+Cl(s) exactly when tr x = 0 mod N and x mod gcd(N, 4) lies in the class of
+s there, and in Cl(t) exactly when tr x = -1 mod N and x mod gcd(N, 3) lies
+in the class of t there.  The elements g with g s g^-1 in <H, -I> number
+|C(s)| |Cl(s) & <H, -I>|, with the centralizer order |C(s)| a closed form
+over the prime powers of N, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
+and nu3 likewise with t.  The genus follows from the exact integer identity
+12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only depends on
+<H, -I>, and all counts are taken there.
 
 Both counts are taken one prime power at a time when H splits.  SL2(Z/N) is
 the product of the SL2(Z/q) over the prime powers q || N, and H lies in the
@@ -23,7 +23,7 @@ factor F on vectors mod q, b_F of them their own negatives,
 x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 
     nuInf = (prod a_F + prod b_F) / 2,
-    nu2   = |SL2(Z/N)| (prod x_F + prod y_F) / (2 |Cl(s)| |H|),
+    nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
 
 and nu3 likewise with t, whether or not H holds -I.  An image that does not
 split, or a prime-power level, has the one factor H, and the same formulas
@@ -37,8 +37,8 @@ It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
 checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
 closure of those elements in key order at level N, or H itself when they
-agree; when the elliptic counts are zero it is the trivial image, and the
-classes of level N are not built.
+agree or H is SL2(Z/N); when the elliptic counts are zero it is the trivial
+image, and no key of level N is tested.
 
 Each classical family is the closure of its generators, checked against the
 family's exact order: none for Gamma(N), T for Gamma1(N), T and then each
@@ -60,15 +60,7 @@ from itertools import chain
 from math import gcd, prod
 
 from .numtheory import euler_phi, prime_factors
-from .sl2n import (
-    Mat,
-    SubgroupImage,
-    _mat,
-    _negated,
-    closure,
-    group_order,
-    pm_elements,
-)
+from .sl2n import Mat, SubgroupImage, _entries, closure, group_order, pm_elements
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 _LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
@@ -147,14 +139,14 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     return H
 
 
-def _prime_powers(n: int) -> list[int]:
-    """The prime powers q || n, in increasing order of their primes."""
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, q) for each prime power q = p^e || n, in increasing order of p."""
     out = []
     for p in prime_factors(n):
         q = p
         while n % (q * p) == 0:
             q *= p
-        out.append(q)
+        out.append((p, q))
     return out
 
 
@@ -168,7 +160,7 @@ def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
         return (H,)
     local = tuple(closure(q, [Mat(q, m.a % q, m.b % q, m.c % q, m.d % q)
                               for m in H.generators])
-                  for q in qs)
+                  for _p, q in qs)
     return local if prod(F.order for F in local) == H.order else (H,)
 
 
@@ -219,43 +211,52 @@ def cusp_count(H: SubgroupImage) -> int:
     return (a + b) // 2
 
 
-def _conjugacy_class(n: int, x: tuple) -> frozenset:
-    """The class of x in SL2(Z/n), packed: its orbit under conjugation by
-    S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], which generate SL2(Z/n)."""
-    a, b, c, d = x
-    seen = {((a * n + b) * n + c) * n + d}
-    stack = [x]
-    while stack:
-        a, b, c, d = stack.pop()
-        for y in ((d, (n - c) % n, (n - b) % n, a),              # S x S^-1
-                  ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n)):  # T x T^-1
-            key = ((y[0] * n + y[1]) * n + y[2]) * n + y[3]
-            if key not in seen:
-                seen.add(key)
-                stack.append(y)
-    return frozenset(seen)
+# The classes of s mod 2, s mod 4 and t mod 3, the only moduli at which a
+# trace does not decide the class; 2 and 4 serve s alone, 3 serves t alone.
+_SMALL_CLASSES = {
+    2: frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)}),
+    4: frozenset({(0, 3, 1, 0), (1, 2, 1, 3), (1, 3, 2, 3),
+                  (2, 3, 1, 2), (3, 2, 1, 1), (3, 3, 2, 1)}),
+    3: frozenset({(0, 2, 1, 2), (1, 0, 1, 1), (1, 2, 0, 1), (2, 2, 1, 0)}),
+}
 
 
-@lru_cache(maxsize=1)
-def _elliptic_classes(n: int) -> tuple[frozenset, frozenset]:
-    """The classes of s and t; cached for the level in use only."""
-    return (_conjugacy_class(n, (0, n - 1, 1, 0)),
-            _conjugacy_class(n, (0, n - 1, 1, n - 1)))
+def _is_elliptic(n: int, k: int, a: int, b: int, c: int, d: int) -> bool:
+    """True when [[a, b], [c, d]] (entries taken mod n) lies in the class of
+    s (k = 0) or t (k = 1) in SL2(Z/n): its trace is -k mod n and, with
+    m = gcd(n, 4 - k), it lies in the class of s or t mod m."""
+    if (a + d + k) % n:
+        return False
+    m = gcd(n, 4 - k)
+    return m == 1 or (a % m, b % m, c % m, d % m) in _SMALL_CLASSES[m]
+
+
+def _centralizer_order(n: int, k: int) -> int:
+    """|C| = |SL2(Z/n)| / |Cl| for s (k = 0) or t (k = 1): over p^e || n,
+    p^(e-1) (p - (-4|p)) for s, doubled when 4 | p^e, and p^(e-1) (p - (-3|p))
+    for t, doubled when 3 | p^e."""
+    m = 4 - k
+    out = 1
+    for p, q in _prime_powers(n):
+        symbol = 0 if m % p == 0 else 1 if p % m == 1 else -1
+        out *= q // p * (p - symbol) * (2 if q % m == 0 else 1)
+    return out
 
 
 @lru_cache(maxsize=_LOCAL_CACHE_SIZE)
-def _class_counts(F: SubgroupImage) -> tuple[tuple[int, int, int], ...]:
-    """(|Cl|, |Cl & F|, |Cl & -F|) for the classes Cl(s) and Cl(t) at F's level."""
-    out = []
-    for cls in _elliptic_classes(F.level):
-        inside = len(cls & F.elements)
-        if F.contains_minus_i:
-            negated = inside
-        else:  # |Cl & -F| = |-Cl & F|: negate the smaller set
-            small, large = sorted((cls, F.elements), key=len)
-            negated = len(large.intersection(_negated(F.level, small)))
-        out.append((len(cls), inside, negated))
-    return tuple(out)
+def _class_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
+    """(|Cl & F|, |Cl & -F|) for the classes Cl(s) and Cl(t) at F's level:
+    the keys of F that pass the membership test, and those whose negatives
+    do.  All of SL2(Z/q) meets each class in |G| / |C| keys."""
+    n, signed = F.level, not F.contains_minus_i
+    if F.order == group_order(n):
+        return tuple((F.order // _centralizer_order(n, k),) * 2 for k in range(2))
+    inside, negated = [0, 0], [0, 0]
+    for a, b, c, d in _entries(n, F.elements):
+        for k in range(2):
+            inside[k] += _is_elliptic(n, k, a, b, c, d)
+            negated[k] += signed and _is_elliptic(n, k, -a, -b, -c, -d)
+    return tuple(zip(inside, negated if signed else inside))  # -F = F when -I is in F
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -263,21 +264,20 @@ def elliptic_counts(H: SubgroupImage) -> EllipticData:
     """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
 
     The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
-    where |C(s)| = |G| / |Cl(s)| is the centralizer order; dividing by
-    |<H, -I>| counts the elliptic cosets over j=1728.  Likewise t over j=0.
-    Classes factor like H: over the factors F, x = |Cl(s) & H| is
-    prod |Cl(s_F) & F| and y = |Cl(s) & -H| is prod |Cl(s_F) & -F|, and
-    nu2 = |G| (x + y) / (2 |Cl(s)| |H|) whether or not H holds -I (when it
-    does, x = y and <H, -I> = H)."""
-    order = group_order(H.level)
+    where |C(s)| is the centralizer order; dividing by |<H, -I>| counts the
+    elliptic cosets over j=1728.  Likewise t over j=0.  Classes factor like
+    H: over the factors F, x = |Cl(s) & H| is prod |Cl(s_F) & F| and
+    y = |Cl(s) & -H| is prod |Cl(s_F) & -F|, and
+    nu2 = |C(s)| (x + y) / (2 |H|) whether or not H holds -I (when it does,
+    x = y and <H, -I> = H)."""
     factors = _factors(H)
     nus = []
     for k in range(2):
-        size = inside = negated = 1
+        inside = negated = 1
         for F in factors:
-            c, x, y = _class_counts(F)[k]
-            size, inside, negated = size * c, inside * x, negated * y
-        nu, rem = divmod(order * (inside + negated), 2 * size * H.order)
+            x, y = _class_counts(F)[k]
+            inside, negated = inside * x, negated * y
+        nu, rem = divmod(_centralizer_order(H.level, k) * (inside + negated), 2 * H.order)
         if rem:
             raise AssertionError("internal: elliptic count is not an integer")
         nus.append(nu)
@@ -309,16 +309,19 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     """The image generated by every elliptic element of <H, -I>, signed into
     H, with -I adjoined when H contains it and there is something to adjoin
     it to.  No elliptic elements, which elliptic counts of zero show without
-    the level's classes, means the trivial image.  Otherwise one closure of
+    testing a key of level N, means the trivial image.  All of SL2(Z/N) is
+    its own tilde, since s and t generate SL2(Z).  Otherwise one closure of
     them in key order builds it, and it is H itself when its order is |H|."""
     n = H.level
     if elliptic_counts(H) == EllipticData(0, 0):
         return H if H.order == 1 else closure(n, [])
-    elliptic = set().union(*_elliptic_classes(n))
-    signed = elliptic & H.elements
-    if not H.contains_minus_i:  # key in H and -key in H cannot both hold
-        signed |= H.elements.intersection(_negated(n, elliptic))
-    elems = [_mat(n, key) for key in sorted(signed)]
+    if H.order == group_order(n):
+        return H
+    signed = not H.contains_minus_i  # x in H and -x in H cannot both hold
+    elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _entries(n, H.elements)
+                   if _is_elliptic(n, 0, a, b, c, d) or _is_elliptic(n, 1, a, b, c, d)
+                   or signed and (_is_elliptic(n, 0, -a, -b, -c, -d)
+                                  or _is_elliptic(n, 1, -a, -b, -c, -d)))
     if H.contains_minus_i:
         elems.append(Mat(n, n - 1, 0, 0, n - 1))  # -I
     tilde = closure(n, elems)
@@ -365,4 +368,5 @@ def verify_unramified(H: SubgroupImage, G: SubgroupImage) -> bool:
     gpm = pm_elements(G)
     if not gpm <= hpm:
         raise ValueError("G is not contained in <H, -I>")
-    return all(cls & hpm <= gpm for cls in _elliptic_classes(H.level))
+    return not any(_is_elliptic(H.level, k, *x) for x in _entries(H.level, hpm - gpm)
+                   for k in range(2))

@@ -107,11 +107,6 @@ def _key(m: Mat) -> int:
     return ((m.a * n + m.b) * n + m.c) * n + m.d
 
 
-def _mat(n: int, key: int) -> Mat:
-    ab, cd = divmod(key, n * n)
-    return Mat(n, *divmod(ab, n), *divmod(cd, n))
-
-
 @dataclass(frozen=True, eq=False)
 class SubgroupImage:
     """A subgroup of SL2(Z/N) by its element set, a frozenset of packed keys.
@@ -185,18 +180,18 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
     return SubgroupImage(n, frozenset(seen), tuple(kept), (n - 1) * ident in seen)
 
 
-def _negated(n: int, keys: Iterable[int]) -> Iterator[int]:
-    """The packed key of -x for each packed key x at level n."""
+def _entries(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, c, d) for each packed key at level n."""
     n2 = n * n
     for key in keys:
         ab, cd = divmod(key, n2)
-        a, b = divmod(ab, n)
-        c, d = divmod(cd, n)
-        yield (((n - a) % n * n + (n - b) % n) * n + (n - c) % n) * n + (n - d) % n
+        yield (*divmod(ab, n), *divmod(cd, n))
 
 
 def pm_elements(H: SubgroupImage) -> frozenset[int]:
     """The element set of <H, -I>, packed."""
     if H.contains_minus_i:
         return H.elements
-    return H.elements | frozenset(_negated(H.level, H.elements))
+    n = H.level
+    return H.elements | {((-a % n * n + -b % n) * n + -c % n) * n + -d % n
+                         for a, b, c, d in _entries(n, H.elements)}

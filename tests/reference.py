@@ -22,9 +22,11 @@ checked against the tabulated counts ``PARTITION_COUNTS``.
 
 The file also keeps the full-group elliptic sweep (``ref_elliptic_sweep``,
 ``ref_unramified``), the package's former O(|SL2(Z/N)|) algorithm, as an
-oracle for the conjugacy-class engine.  It works on plain (a, b, c, d)
-tuples; ``unpacked`` turns the package's packed element keys into them, and
-``ref_closure`` closes generators by the same tuple products.
+oracle for the package's elliptic counts and for its membership test by
+trace: ``_conjugates`` writes out every conjugate of s and of t.  It works
+on plain (a, b, c, d) tuples; ``unpacked`` turns the package's packed
+element keys into them, and ``ref_closure`` closes generators by the same
+tuple products.
 """
 
 import random

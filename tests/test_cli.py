@@ -474,9 +474,9 @@ def test_bound_job_decides_the_route_once(monkeypatch, capsys):
         assert len(calls) == 1
 
 
-def test_full_level_job_closes_sl2_twice(monkeypatch, capsys):
-    """SL2(Z/13) is closed once for H and once for the tilde's elements;
-    the tilde equals H, so no third closure of the whole group follows."""
+def test_full_level_job_closes_sl2_once(monkeypatch, capsys):
+    """SL2(Z/13) is closed once, for H: its tilde is H itself, since s and
+    t generate it, so no closure of its elliptic elements follows."""
     full_closures = []
     closure = sl2n.closure
 
@@ -493,7 +493,7 @@ def test_full_level_job_closes_sl2_twice(monkeypatch, capsys):
         cached.cache_clear()
     code, _out, _err = run(capsys, "invariants", "--level", "13", "--subgroup", "full")
     assert code == EXIT_OK
-    assert len(full_closures) == 2
+    assert len(full_closures) == 1
 
 
 # ---- tables ----

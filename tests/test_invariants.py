@@ -466,6 +466,21 @@ def test_tilde_contains_every_elliptic_element():
     assert applicability(h).verdict is Verdict.INAPPLICABLE
 
 
+# ---- elliptic membership by trace ----
+
+@pytest.mark.parametrize("n", [*range(2, 33), 64, 81])
+def test_membership_test_and_centralizer_order_match_the_conjugates(n):
+    """_is_elliptic, for x and for -x with unreduced entries, holds exactly
+    on the oracle's conjugates of s and of t, and |C| |Cl| = |SL2(Z/n)|."""
+    elems, *classes = zip(*R._conjugates(n))
+    is_elliptic = invariants._is_elliptic
+    for k, cls in enumerate(map(set, classes)):
+        assert {x for x in elems if is_elliptic(n, k, *x)} == cls, (n, k)
+        assert {R._neg((a, b, c, d), n) for a, b, c, d in elems
+                if is_elliptic(n, k, -a, -b, -c, -d)} == cls, (n, k)
+        assert invariants._centralizer_order(n, k) * len(cls) == group_order(n), (n, k)
+
+
 # ---- counts one prime power at a time ----
 
 def prime_powers(n):
@@ -531,16 +546,16 @@ def test_non_split_image_falls_back_to_one_factor():
 
 @pytest.mark.parametrize("kind, n", [("gamma1", 12), ("gamma", 10), ("gamma0", 12)])
 def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, n):
-    """Elliptic counts of zero come from the factors' classes, and the tilde
-    is then the trivial image without the classes of level N."""
-    built = []
-    classes = invariants._elliptic_classes
+    """Elliptic counts of zero come from the factors' keys, and the tilde is
+    then the trivial image without a membership test at level N."""
+    tested = []
+    is_elliptic = invariants._is_elliptic
 
-    def recording(level):
-        built.append(level)
-        return classes(level)
+    def recording(level, *args):
+        tested.append(level)
+        return is_elliptic(level, *args)
 
-    monkeypatch.setattr(invariants, "_elliptic_classes", recording)
+    monkeypatch.setattr(invariants, "_is_elliptic", recording)
     for cached in (invariants.standard_subgroup, elliptic_counts, curve_invariants,
                    tilde_subgroup, invariants._factors, invariants._class_counts):
         cached.cache_clear()
@@ -548,8 +563,8 @@ def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, 
     a = applicability(h)
     assert (a.invariants.nu2, a.invariants.nu3) == (0, 0)
     assert a.tilde_image == closure(n, []) and a.tilde_image.order == 1
-    assert n not in built
-    assert sorted(set(built)) == sorted(prime_powers(n))
+    assert n not in tested
+    assert sorted(set(tested)) == sorted(prime_powers(n))
 
 
 # ---- Diamond-Shurman closed forms (A First Course in Modular Forms, 3.9) ----

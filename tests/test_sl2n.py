@@ -230,7 +230,7 @@ def test_pack_unpack_round_trip():
         for m in enumerate_group(n):
             key = sl2n._key(m)
             assert 0 <= key < n ** 4
-            assert sl2n._mat(n, key) == m
+            assert list(sl2n._entries(n, [key])) == [m[1:]]
             assert R.unpacked(n, [key]) == {(m.a, m.b, m.c, m.d)}
 
 
