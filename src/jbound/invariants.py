@@ -40,15 +40,15 @@ closure of those elements in key order at level N, or H itself when they
 agree or H is SL2(Z/N); when the elliptic counts are zero it is the trivial
 image, and no key of level N is tested.
 
-Each classical family is the closure of its generators, checked against the
-family's exact order: none for Gamma(N), T for Gamma1(N), T and then each
-diag(u, u^-1) that enlarges the group for Gamma0(N), and S and T for
-SL2(Z/N).  applicability reads the invariants of H and of
-its tilde once, through the cached curve_invariants, and returns both, so
-callers never count cusps themselves; each of the four invariant caches
-keeps its 64 most recent entries, and the factor lists and per-factor counts
-keep their 4 most recent.  Every image is built by sl2n.closure, which
-refuses a level above the cap, so nothing here checks the cap again.
+Each classical family is written down from its definition and checked
+against its exact order; its generators, which _factors reduces mod q, are
+none for Gamma(N), T for Gamma1(N), T and each diag(u, u^-1) that enlarges
+the group for Gamma0(N), and S and T for SL2(Z/N).  applicability reads the
+invariants of H and of its tilde once, through the cached curve_invariants,
+and returns both, so callers never count cusps themselves; each of the four
+invariant caches keeps its 64 most recent entries, and the factor lists and
+per-factor counts keep their 4 most recent.  Every level is admitted by
+sl2n._admit_level, which refuses one above the cap, before any key is made.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from itertools import chain
 from math import gcd, prod
 
 from .numtheory import euler_phi, prime_factors
-from .sl2n import Mat, SubgroupImage, _entries, closure, group_order, pm_elements
+from .sl2n import (ENUMERATION_CAP, Mat, SubgroupImage, _admit_level, _entries, _group_keys,
+                   closure, group_order, pm_elements)
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 _LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
@@ -115,28 +116,28 @@ class Applicability:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
-    """The image of a classical family at level n: the closure of the
-    family's generators, checked against the family's exact order.  A level
-    above the cap is refused by the first closure, before n is factored."""
+    """The image of a classical family at level n, its keys written down from
+    the family's definition and checked against the family's exact order.  A
+    level above the cap is refused before n is factored or a key is made."""
     kind = SubgroupKind(kind)
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    t = Mat(n, 1, 1, 0, 1)
+    _admit_level(n, ENUMERATION_CAP)  # and a level below 2 is a ValueError
+    n2, n3, t = n * n, n ** 3, Mat(n, 1, 1, 0, 1)
     if kind is SubgroupKind.PRINCIPAL:
-        gens = []
-    elif kind is SubgroupKind.GAMMA1:
-        gens = [t]
-    elif kind is SubgroupKind.GAMMA0:
-        units = (Mat(n, u, 0, 0, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1)
-        gens = chain([t], units)  # lazy: no unit is made before the level is admitted
+        gens, keys, order = (), [n3 + 1], 1
+    elif kind is SubgroupKind.GAMMA1:  # [[1, b], [0, 1]]
+        gens, keys, order = (t,), range(n3 + 1, 2 * n3, n2), n
+    elif kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
+        units = [(u, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1]
+        # diag(u, u^-1) enlarges <T, kept> exactly when it enlarges <kept>
+        gens = (t, *closure(n, (Mat(n, u, 0, 0, v) for u, v in units)).generators)
+        keys = chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units)
+        order = n * euler_phi(n)
     else:  # FULL
-        gens = [Mat(n, 0, n - 1, 1, 0), t]
-    H = closure(n, gens)
-    order = {SubgroupKind.PRINCIPAL: 1, SubgroupKind.GAMMA1: n,
-             SubgroupKind.GAMMA0: n * euler_phi(n), SubgroupKind.FULL: group_order(n)}[kind]
-    if H.order != order:
-        raise AssertionError(f"internal: {kind.value} generators give the wrong order")
-    return H
+        gens, keys, order = (Mat(n, 0, n - 1, 1, 0), t), _group_keys(n), group_order(n)
+    elements = set(keys)  # a frozenset copied from a set keeps a smaller table
+    if len(elements) != order:
+        raise AssertionError(f"internal: {kind.value} keys give the wrong order")
+    return SubgroupImage(n, frozenset(elements), gens, (n - 1) * (n3 + 1) in elements)  # -I
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:

@@ -5,11 +5,10 @@ with entries in [0, N) is ((a*N + b)*N + c)*N + d, so sorted keys follow
 sorted ``Mat`` tuples, and the level is stored once, on the image.  ``Mat``
 is for generators and input.  Element sets are compared by content, so
 subgroup equality never depends on how a subgroup was generated.
-Enumeration walks unimodular first columns (a, c) with gcd(a, c, N) = 1 and
-sweeps the N completions of each, which makes the order formula an actual
-counting argument rather than a filter.  No routine of the package sweeps
-the whole group: every subgroup, SL2(Z/N) included, is built by the one
-lazy ``closure`` of its generators, and enumeration serves as a reference.
+``_group_keys`` writes SL2(Z/N) down: it walks unimodular first columns
+(a, c) with gcd(a, c, N) = 1 and sweeps the N completions of each, which
+makes the order formula an actual counting argument rather than a filter.
+An image other than a classical family is built by the lazy ``closure``.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def group_order(n: int) -> int:
     return sl2_order(n)
 
 
-def iter_group(n: int) -> Iterator[Mat]:
-    """All of SL2(Z/n) as Mat values, in a fixed deterministic order."""
+def _group_keys(n: int) -> Iterator[int]:
+    """Every key of SL2(Z/n), in a fixed deterministic order."""
     for a in range(n):
         for c in range(n):
             if gcd(gcd(a, c), n) != 1:
@@ -85,7 +84,7 @@ def iter_group(n: int) -> Iterator[Mat]:
             ginv = pow(g, -1, n)
             b, d = (-y * ginv) % n, (x * ginv) % n  # a*d - c*b = 1
             for _ in range(n):
-                yield Mat(n, a, b, c, d)
+                yield ((a * n + b) * n + c) * n + d
                 b = (b + a) % n
                 d = (d + c) % n
 
@@ -99,7 +98,7 @@ def _admit_level(n: int, cap: int) -> None:
 def enumerate_group(n: int, cap: int = ENUMERATION_CAP) -> frozenset[Mat]:
     """The full element set of SL2(Z/n); refuses when the order exceeds the cap."""
     _admit_level(n, cap)
-    return frozenset(iter_group(n))
+    return frozenset(Mat(n, *m) for m in _entries(n, _group_keys(n)))
 
 
 def _key(m: Mat) -> int:

@@ -474,9 +474,9 @@ def test_bound_job_decides_the_route_once(monkeypatch, capsys):
         assert len(calls) == 1
 
 
-def test_full_level_job_closes_sl2_once(monkeypatch, capsys):
-    """SL2(Z/13) is closed once, for H: its tilde is H itself, since s and
-    t generate it, so no closure of its elliptic elements follows."""
+def test_full_level_job_never_closes_sl2(monkeypatch, capsys):
+    """SL2(Z/13) is written down, not closed, and its tilde is H itself,
+    since s and t generate it, so no closure of its order runs at all."""
     full_closures = []
     closure = sl2n.closure
 
@@ -493,7 +493,7 @@ def test_full_level_job_closes_sl2_once(monkeypatch, capsys):
         cached.cache_clear()
     code, _out, _err = run(capsys, "invariants", "--level", "13", "--subgroup", "full")
     assert code == EXIT_OK
-    assert len(full_closures) == 1
+    assert full_closures == []
 
 
 # ---- tables ----

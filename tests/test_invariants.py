@@ -81,6 +81,47 @@ def test_standard_subgroup_cap():
         standard_subgroup(SubgroupKind.GAMMA0, 9999)
     with pytest.raises(CapExceeded):
         standard_subgroup(SubgroupKind.FULL, 997)
+    # 221 is the first level the cap refuses, whatever the family
+    for kind in SubgroupKind:
+        with pytest.raises(CapExceeded):
+            standard_subgroup(kind, 221)
+    for n in (220, 222):
+        assert standard_subgroup(SubgroupKind.PRINCIPAL, n).order == 1
+        assert standard_subgroup(SubgroupKind.GAMMA1, n).order == n
+
+
+FAMILY_DEFINITIONS = {
+    SubgroupKind.GAMMA0: lambda a, b, c, d: c == 0,
+    SubgroupKind.GAMMA1: lambda a, b, c, d: c == 0 and a == 1,
+    SubgroupKind.PRINCIPAL: lambda a, b, c, d: (a, b, c, d) == (1, 0, 0, 1),
+    SubgroupKind.FULL: lambda a, b, c, d: True,
+}
+
+
+def test_families_are_their_definitions_and_their_generators_close_to_them():
+    """Each family's keys are its definition filtered from all of SL2(Z/N);
+    its generators close to it, and they are the subsequence that closing
+    the family's generator list keeps: T and then every unit diagonal for
+    Gamma0(N), S and T for SL2(Z/N)."""
+    for n in range(2, 61):
+        group = list(R.sl2_elements(n))
+        for kind, member in FAMILY_DEFINITIONS.items():
+            if kind is SubgroupKind.FULL and n > 24:
+                continue
+            H = standard_subgroup(kind, n)
+            expected = {((a * n + b) * n + c) * n + d for a, b, c, d in group
+                        if member(a, b, c, d)}
+            assert H.elements == expected, (kind, n)
+            assert closure(n, H.generators) == H, (kind, n)
+            t = Mat(n, 1, 1, 0, 1)
+            listed = {
+                SubgroupKind.GAMMA0: [t] + [Mat(n, u, 0, 0, pow(u, -1, n))
+                                            for u in range(1, n) if gcd(u, n) == 1],
+                SubgroupKind.GAMMA1: [t],
+                SubgroupKind.PRINCIPAL: [],
+                SubgroupKind.FULL: [Mat(n, 0, n - 1, 1, 0), t],
+            }[kind]
+            assert H.generators == closure(n, listed).generators, (kind, n)
 
 
 # ---- cusp counts ----

@@ -14,7 +14,6 @@ from jbound.sl2n import (
     closure,
     enumerate_group,
     group_order,
-    iter_group,
     mat_inv,
     mat_mul,
     mat_neg,
@@ -85,10 +84,11 @@ def test_enumeration_matches_brute_force_filter():
 
 
 def test_enumeration_is_deterministic():
-    first = list(iter_group(7))
-    second = list(iter_group(7))
+    first = list(sl2n._group_keys(7))
+    second = list(sl2n._group_keys(7))
     assert first == second
     assert len(set(first)) == group_order(7)
+    assert {Mat(7, *m) for m in sl2n._entries(7, first)} == enumerate_group(7)
 
 
 def test_enumeration_cap_is_checked_before_work():
