@@ -105,6 +105,14 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
     Gamma0(N), S and T for SL2(Z/N)."""
     for n in range(2, 61):
         group = list(R.sl2_elements(n))
+        t = Mat(n, 1, 1, 0, 1)
+        listed = {
+            SubgroupKind.GAMMA0: [t] + [Mat(n, u, 0, 0, pow(u, -1, n))
+                                        for u in range(1, n) if gcd(u, n) == 1],
+            SubgroupKind.GAMMA1: [t],
+            SubgroupKind.PRINCIPAL: [],
+            SubgroupKind.FULL: [Mat(n, 0, n - 1, 1, 0), t],
+        }
         for kind, member in FAMILY_DEFINITIONS.items():
             if kind is SubgroupKind.FULL and n > 24:
                 continue
@@ -113,15 +121,7 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
                         if member(a, b, c, d)}
             assert H.elements == expected, (kind, n)
             assert closure(n, H.generators) == H, (kind, n)
-            t = Mat(n, 1, 1, 0, 1)
-            listed = {
-                SubgroupKind.GAMMA0: [t] + [Mat(n, u, 0, 0, pow(u, -1, n))
-                                            for u in range(1, n) if gcd(u, n) == 1],
-                SubgroupKind.GAMMA1: [t],
-                SubgroupKind.PRINCIPAL: [],
-                SubgroupKind.FULL: [Mat(n, 0, n - 1, 1, 0), t],
-            }[kind]
-            assert H.generators == closure(n, listed).generators, (kind, n)
+            assert H.generators == closure(n, listed[kind]).generators, (kind, n)
 
 
 # ---- cusp counts ----
