@@ -50,9 +50,6 @@ from .sl2n import (
     closure,
     enumerate_group,
     group_order,
-    mat_inv,
-    mat_mul,
-    mat_neg,
     pm_elements,
 )
 from .xreal import DEFAULT_PREC, ExponentOverflow, Rounding, XReal
@@ -68,7 +65,7 @@ __all__ = [
     "closure", "curve_invariants", "cusp_count", "d_n", "delta1_ln",
     "elliptic_counts", "enumerate_group", "euler_phi",
     "forces_three_cusps", "group_order", "h_s", "is_prime", "lambda_ln",
-    "ln_delta", "ln_delta0", "ln_dstar", "m_of", "mat_inv", "mat_mul",
-    "mat_neg", "p_max", "pm_elements", "prime_factors", "psl_index",
-    "sl2_order", "standard_subgroup", "tilde_subgroup", "verify_unramified",
+    "ln_delta", "ln_delta0", "ln_dstar", "m_of", "p_max", "pm_elements",
+    "prime_factors", "psl_index", "sl2_order", "standard_subgroup",
+    "tilde_subgroup", "verify_unramified",
 ]

@@ -36,7 +36,7 @@ from .invariants import (
     standard_subgroup,
 )
 from .numtheory import is_prime
-from .sl2n import ENUMERATION_CAP, CapExceeded, Mat, SubgroupImage, _admit_level, closure
+from .sl2n import CapExceeded, Mat, SubgroupImage, _admit_level, closure
 from .xreal import DEFAULT_PREC, Rounding, XReal
 
 EXIT_OK = 0
@@ -420,7 +420,7 @@ def render_tables(family: str, start: int, stop: int, primes_only: bool) -> str:
                 continue
         except ValueError as exc:  # a probable prime that cannot be certified
             raise SpecError(str(exc)) from exc
-        _admit_level(n, ENUMERATION_CAP)  # the whole range, before any row is computed
+        _admit_level(n)  # the whole range, before any row is computed
         levels.append(n)
     rows = [header]
     for n in levels:

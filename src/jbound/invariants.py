@@ -48,7 +48,8 @@ invariants of H and of its tilde once, through the cached curve_invariants,
 and returns both, so callers never count cusps themselves; each of the four
 invariant caches keeps its 64 most recent entries, and the factor lists and
 per-factor counts keep their 4 most recent.  Every level is admitted by
-sl2n._admit_level, which refuses one above the cap, before any key is made.
+sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
+sl2n.ENUMERATION_CAP, as it reads at that call, before any key is made.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from itertools import chain
 from math import gcd, prod
 
 from .numtheory import euler_phi, prime_factors
-from .sl2n import (ENUMERATION_CAP, Mat, SubgroupImage, _admit_level, _entries, _group_keys,
-                   closure, group_order, pm_elements)
+from .sl2n import (Mat, SubgroupImage, _admit_level, _entries, _group_keys, closure,
+                   group_order, pm_elements)
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 _LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
@@ -120,7 +121,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     the family's definition and checked against the family's exact order.  A
     level above the cap is refused before n is factored or a key is made."""
     kind = SubgroupKind(kind)
-    _admit_level(n, ENUMERATION_CAP)  # and a level below 2 is a ValueError
+    _admit_level(n)  # and a level below 2 is a ValueError
     n2, n3, t = n * n, n ** 3, Mat(n, 1, 1, 0, 1)
     if kind is SubgroupKind.PRINCIPAL:
         gens, keys, order = (), [n3 + 1], 1
@@ -137,7 +138,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     elements = set(keys)  # a frozenset copied from a set keeps a smaller table
     if len(elements) != order:
         raise AssertionError(f"internal: {kind.value} keys give the wrong order")
-    return SubgroupImage(n, frozenset(elements), gens, (n - 1) * (n3 + 1) in elements)  # -I
+    return SubgroupImage(n, frozenset(elements), gens)
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -332,15 +333,9 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
 def forces_three_cusps(G: SubgroupImage) -> bool:
     """Sufficient order test: 4|G| < N^2 prod_{q|N}(1 - q^-2) forces the curve
     of G to have at least three cusps (each +-G orbit has at most 2|G| of the
-    N^2 prod (1 - q^-2) unimodular vectors)."""
-    n = G.level
-    rad = 1
-    for q in prime_factors(n):
-        rad *= q
-    rhs = (n // rad) ** 2
-    for q in prime_factors(n):
-        rhs *= q * q - 1
-    return 4 * len(G.elements) < rhs
+    N^2 prod (1 - q^-2) unimodular vectors).  That count is |SL2(Z/N)| / N, so
+    the test is 4 |G| N < |SL2(Z/N)|."""
+    return 4 * G.order * G.level < group_order(G.level)
 
 
 def applicability(H: SubgroupImage) -> Applicability:

@@ -1,10 +1,11 @@
-"""Exact arithmetic, enumeration, and subgroup closure in SL2(Z/N).
+"""Enumeration and subgroup closure in SL2(Z/N), on packed keys.
 
 A subgroup's element set is a frozenset of packed keys: [[a, b], [c, d]]
 with entries in [0, N) is ((a*N + b)*N + c)*N + d, so sorted keys follow
 sorted ``Mat`` tuples, and the level is stored once, on the image.  ``Mat``
-is for generators and input.  Element sets are compared by content, so
-subgroup equality never depends on how a subgroup was generated.
+is validated input only, for generators; products are taken on keys inside
+``closure``.  Element sets are compared by content, so subgroup equality
+never depends on how a subgroup was generated.
 ``_group_keys`` writes SL2(Z/N) down: it walks unimodular first columns
 (a, c) with gcd(a, c, N) = 1 and sweeps the N completions of each, which
 makes the order formula an actual counting argument rather than a filter.
@@ -13,7 +14,7 @@ An image other than a classical family is built by the lazy ``closure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -23,7 +24,8 @@ ENUMERATION_CAP = 10_000_000
 
 
 class CapExceeded(RuntimeError):
-    """|SL2(Z/N)| exceeds the cap; ``closure`` refuses such a level before any work."""
+    """|SL2(Z/N)| exceeds ``ENUMERATION_CAP``, which is read each time a level
+    is admitted; ``closure`` refuses such a level before any work."""
 
 
 class Mat(NamedTuple):
@@ -44,27 +46,6 @@ class Mat(NamedTuple):
         if (a * d - b * c) % n != 1:
             raise ValueError(f"determinant is not 1 mod {n}: [[{a},{b}],[{c},{d}]]")
         return Mat(n, a, b, c, d)
-
-
-def mat_mul(x: Mat, y: Mat) -> Mat:
-    if x.n != y.n:
-        raise ValueError(f"level mismatch: {x.n} vs {y.n}")
-    n = x.n
-    return Mat(n,
-               (x.a * y.a + x.b * y.c) % n,
-               (x.a * y.b + x.b * y.d) % n,
-               (x.c * y.a + x.d * y.c) % n,
-               (x.c * y.b + x.d * y.d) % n)
-
-
-def mat_inv(m: Mat) -> Mat:
-    n = m.n
-    return Mat(n, m.d % n, (-m.b) % n, (-m.c) % n, m.a % n)
-
-
-def mat_neg(m: Mat) -> Mat:
-    n = m.n
-    return Mat(n, (-m.a) % n, (-m.b) % n, (-m.c) % n, (-m.d) % n)
 
 
 def group_order(n: int) -> int:
@@ -89,15 +70,15 @@ def _group_keys(n: int) -> Iterator[int]:
                 d = (d + c) % n
 
 
-def _admit_level(n: int, cap: int) -> None:
+def _admit_level(n: int) -> None:
     # |SL2(Z/n)| > (6/pi^2) n^3 > n^3 / 2, so n^3 > 2 cap refuses n before factoring it
-    if n ** 3 > 2 * cap or group_order(n) > cap:
-        raise CapExceeded(f"|SL2(Z/{n})| exceeds the cap {cap}")
+    if n ** 3 > 2 * ENUMERATION_CAP or group_order(n) > ENUMERATION_CAP:
+        raise CapExceeded(f"|SL2(Z/{n})| exceeds the cap {ENUMERATION_CAP}")
 
 
-def enumerate_group(n: int, cap: int = ENUMERATION_CAP) -> frozenset[Mat]:
+def enumerate_group(n: int) -> frozenset[Mat]:
     """The full element set of SL2(Z/n); refuses when the order exceeds the cap."""
-    _admit_level(n, cap)
+    _admit_level(n)
     return frozenset(Mat(n, *m) for m in _entries(n, _group_keys(n)))
 
 
@@ -106,31 +87,23 @@ def _key(m: Mat) -> int:
     return ((m.a * n + m.b) * n + m.c) * n + m.d
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubgroupImage:
     """A subgroup of SL2(Z/N) by its element set, a frozenset of packed keys.
 
     The ``Mat`` values in ``generators`` always generate ``elements``
     (``closure`` keeps only those); equality and hashing look only at (level,
-    elements), never at the particular generating set.
+    elements), never at the particular generating set, and whether -I is in
+    the subgroup is read from the elements.
     """
 
     level: int
     elements: frozenset[int]
-    generators: tuple
-    contains_minus_i: bool
+    generators: tuple = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.level ** 3 + 1 not in self.elements:  # the key of I
             raise ValueError("subgroup must contain the identity")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubgroupImage)
-                and self.level == other.level
-                and self.elements == other.elements)
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.elements))
 
     def __repr__(self) -> str:
         return (f"SubgroupImage(level={self.level}, order={len(self.elements)}, "
@@ -140,8 +113,13 @@ class SubgroupImage:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def contains_minus_i(self) -> bool:
+        n = self.level
+        return (n - 1) * (n ** 3 + 1) in self.elements  # -I packs to (n-1)*n^3 + (n-1)
 
-def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> SubgroupImage:
+
+def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
     """The subgroup that the generators generate, on packed keys.
 
     The generators are read lazily, in order, once the level is admitted.  One
@@ -150,7 +128,7 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
     each element meets each kept generator once, and ``generators`` is the
     kept subsequence (in a finite group, inverses are powers).
     """
-    _admit_level(n, cap)
+    _admit_level(n)
     n2 = n * n
     ident = n2 * n + 1
     seen = {ident}
@@ -175,8 +153,7 @@ def closure(n: int, gens: Iterable[Mat], cap: int = ENUMERATION_CAP) -> Subgroup
                     seen.add(nxt)
                     queue.append(nxt)
     del queue  # it holds every key again; free it before the set is copied
-    # -I packs to (n-1)*n^3 + (n-1)
-    return SubgroupImage(n, frozenset(seen), tuple(kept), (n - 1) * ident in seen)
+    return SubgroupImage(n, frozenset(seen), tuple(kept))
 
 
 def _entries(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
