@@ -224,7 +224,7 @@ def _build_jobspec(args: argparse.Namespace) -> JobSpec:
 
 
 def _resolve_subgroup(spec: JobSpec) -> SubgroupImage:
-    if spec.gens:
+    if spec.gens is not None:
         return closure(spec.level, _parse_gens(spec.gens, spec.level))
     try:
         kind = SubgroupKind(spec.subgroup)
@@ -260,7 +260,7 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
         schema=SCHEMA_VERSION,
         command="bound" if want_bound else "invariants",
         level=spec.level,
-        subgroup=spec.subgroup if not spec.gens else f"gens:{spec.gens}",
+        subgroup=spec.subgroup if spec.gens is None else f"gens:{spec.gens}",
         invariants=app.invariants,
         tilde_order=app.tilde_image.order,
         tilde_invariants=app.tilde_invariants,

@@ -2,27 +2,30 @@
 route decision for the height-bound theorems.
 
 A subgroup is handled through its image H in SL2(Z/N).  Cusps are orbits of
-<H, -I> on unimodular column vectors.  Elliptic points come from the
-conjugacy classes Cl(s) and Cl(t) of the order-4 element s = [[0,-1],[1,0]]
-and the order-3 element t = [[0,-1],[1,-1]], which are never built: x lies in
-Cl(s) exactly when tr x = 0 mod N and x mod gcd(N, 4) lies in the class of
-s there, and in Cl(t) exactly when tr x = -1 mod N and x mod gcd(N, 3) lies
-in the class of t there.  The elements g with g s g^-1 in <H, -I> number
+<H, -I> on unimodular column vectors, counted by Burnside from the vectors
+each element fixes, a closed form over the prime powers of N.  Elliptic
+points come from the conjugacy classes Cl(s) and Cl(t) of the order-4
+element s = [[0,-1],[1,0]] and the order-3 element t = [[0,-1],[1,-1]],
+which are never built: x lies in Cl(s) exactly when tr x = 0 mod N and
+x mod gcd(N, 4) lies in the class of s there, and in Cl(t) exactly when
+tr x = -1 mod N and x mod gcd(N, 3) lies in the class of t there.  The
+elements g with g s g^-1 in <H, -I> number
 |C(s)| |Cl(s) & <H, -I>|, with the centralizer order |C(s)| a closed form
 over the prime powers of N, so nu2 = |C(s)| |Cl(s) & <H, -I>| / |<H, -I>|,
 and nu3 likewise with t.  The genus follows from the exact integer identity
 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only depends on
 <H, -I>, and all counts are taken there.
 
-Both counts are taken one prime power at a time when H splits.  SL2(Z/N) is
-the product of the SL2(Z/q) over the prime powers q || N, and H lies in the
-product of its images H_q mod q; it equals that product exactly when
-|H| = prod |H_q|, each H_q being the closure of H's generators mod q.  Then
-vectors, orbits and conjugacy classes factor too, and with a_F orbits of a
-factor F on vectors mod q, b_F of them their own negatives,
-x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
+All three counts come from one scan of keys, taken one prime power at a time
+when H splits.  SL2(Z/N) is the product of the SL2(Z/q) over the prime powers
+q || N, and H lies in the product of its images H_q mod q; it equals that
+product exactly when |H| = prod |H_q|, each H_q being the closure of H's
+generators mod q.  Then fixed vectors and conjugacy classes factor too, and
+one scan of a factor F's keys x gives A_F, the vectors fixed by each x
+summed over F, and B_F, those fixed by each -x, with x_F = |Cl(s_F) & F| and
+y_F = |Cl(s_F) & -F|:
 
-    nuInf = (prod a_F + prod b_F) / 2,
+    nuInf = (prod A_F + prod B_F) / (2 |H|),
     nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
 
 and nu3 likewise with t, whether or not H holds -I.  An image that does not
@@ -47,8 +50,8 @@ the group for Gamma0(N), and S and T for SL2(Z/N).  applicability reads the
 invariants of H and of its tilde once, through the cached curve_invariants,
 and returns both, so callers never count cusps themselves; each of the four
 invariant caches keeps its 64 most recent entries, and the factor lists and
-per-factor counts keep their 4 most recent.  Every level is admitted by
-sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
+the factors' local counts keep their 4 most recent.  Every level is admitted
+by sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
 sl2n.ENUMERATION_CAP, as it reads at that call, before any key is made.
 """
 
@@ -166,53 +169,6 @@ def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
     return local if prod(F.order for F in local) == H.order else (H,)
 
 
-@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
-def _orbit_counts(F: SubgroupImage) -> tuple[int, int]:
-    """The orbits of F on column vectors (a; c) with gcd(a, c, q) = 1, and
-    how many of them are their own negatives.  seen[a*q + c] marks (a; c)."""
-    n = F.level
-    action = [(m.a, m.b, m.c, m.d) for m in F.generators]
-    seen = bytearray(n * n)
-    count = fixed = 0
-    for a0 in range(n):
-        g, row, neg_row = gcd(a0, n), a0 * n, (n - a0) % n * n
-        for c0 in range(n):
-            v = row + c0
-            if seen[v] or (g != 1 and gcd(g, c0) != 1):
-                continue
-            neg = neg_row + (n - c0) % n
-            earlier = seen[neg]  # then -O is an earlier orbit, not O
-            count += 1
-            seen[v] = 1
-            stack = [(a0, c0)]
-            while stack:
-                a, c = stack.pop()
-                for ma, mb, mc, md in action:
-                    a1, c1 = (ma * a + mb * c) % n, (mc * a + md * c) % n
-                    w = a1 * n + c1
-                    if not seen[w]:
-                        seen[w] = 1
-                        stack.append((a1, c1))
-            fixed += not earlier and seen[neg]
-    return count, fixed
-
-
-def cusp_count(H: SubgroupImage) -> int:
-    """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1.
-
-    The H-orbits are the products of the orbits of the factors, and -I
-    fixes a product exactly when it fixes each factor, so with a_F orbits
-    of the factor F and b_F of them fixed by -I there are prod a_F
-    H-orbits, prod b_F of them fixed, and (prod a_F + prod b_F) / 2 orbits
-    of <H, -I>, whether or not H holds -I."""
-    a = b = 1
-    for F in _factors(H):
-        fa, fb = _orbit_counts(F)
-        a *= fa
-        b *= fb
-    return (a + b) // 2
-
-
 # The classes of s mod 2, s mod 4 and t mod 3, the only moduli at which a
 # trace does not decide the class; 2 and 4 serve s alone, 3 serves t alone.
 _SMALL_CLASSES = {
@@ -245,20 +201,71 @@ def _centralizer_order(n: int, k: int) -> int:
     return out
 
 
+def _fixed(qs: list[tuple[int, int]], a: int, b: int, c: int, d: int) -> int:
+    """The unimodular vectors v with x v = v, x = [[a, b], [c, d]], at the
+    level whose prime powers are qs: over each q = p^e, with p^f the gcd of
+    the entries of x - I and q, all q^2 - (q/p)^2 of them when f = e, else
+    p^f phi(q) when q p^f divides det(x - I), else none."""
+    out, a, d = 1, a - 1, d - 1
+    for p, q in qs:
+        pf = gcd(a, b, c, d, q)
+        if pf == q:
+            out *= q * q - (q // p) ** 2
+        elif (a * d - b * c) % (q * pf):
+            return 0
+        else:
+            out *= pf * (q - q // p)
+    return out
+
+
 @lru_cache(maxsize=_LOCAL_CACHE_SIZE)
-def _class_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
-    """(|Cl & F|, |Cl & -F|) for the classes Cl(s) and Cl(t) at F's level:
-    the keys of F that pass the membership test, and those whose negatives
-    do.  All of SL2(Z/q) meets each class in |G| / |C| keys."""
+def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
+    """Three (inside, negated) pairs from one scan of F's keys x: the
+    vectors fixed by x and by -x, summed over F; |Cl(s) & F| and
+    |Cl(s) & -F|; and likewise t.  At F's level n, x fixes a vector only
+    when tr x = 2 mod rad(n), and -x only when tr x = -2.  All of SL2(Z/n),
+    one orbit, gives |G| fixed vectors and meets each class in |G| / |C| keys."""
     n, signed = F.level, not F.contains_minus_i
     if F.order == group_order(n):
-        return tuple((F.order // _centralizer_order(n, k),) * 2 for k in range(2))
-    inside, negated = [0, 0], [0, 0]
+        return ((F.order,) * 2, *((F.order // _centralizer_order(n, k),) * 2 for k in range(2)))
+    qs = _prime_powers(n)
+    rad = prod(p for p, _q in qs)
+    plus, minus = 2 % rad, -2 % rad
+    inside, negated = [0, 0, 0], [0, 0, 0]
     for a, b, c, d in _entries(n, F.elements):
+        tr = (a + d) % rad
+        if tr == plus:
+            inside[0] += _fixed(qs, a, b, c, d)
+        if signed and tr == minus:
+            negated[0] += _fixed(qs, -a, -b, -c, -d)
         for k in range(2):
-            inside[k] += _is_elliptic(n, k, a, b, c, d)
-            negated[k] += signed and _is_elliptic(n, k, -a, -b, -c, -d)
+            inside[k + 1] += _is_elliptic(n, k, a, b, c, d)
+            negated[k + 1] += signed and _is_elliptic(n, k, -a, -b, -c, -d)
     return tuple(zip(inside, negated if signed else inside))  # -F = F when -I is in F
+
+
+def _combine(H: SubgroupImage, j: int, scale: int) -> int:
+    """scale (prod x_F + prod y_F) / (2 |H|) over the factors F of H, with
+    (x_F, y_F) the j-th pair of F's local counts."""
+    inside = negated = 1
+    for F in _factors(H):
+        x, y = _local_counts(F)[j]
+        inside, negated = inside * x, negated * y
+    count, rem = divmod(scale * (inside + negated), 2 * H.order)
+    if rem:
+        raise AssertionError("internal: a count of H is not an integer")
+    return count
+
+
+def cusp_count(H: SubgroupImage) -> int:
+    """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1.
+
+    By Burnside they number the vectors fixed by each element of <H, -I>,
+    summed and divided by |<H, -I>|.  Fixed vectors factor like H, so with
+    A_F the vectors fixed by each x in the factor F, summed over F, and B_F
+    those fixed by each -x, there are (prod A_F + prod B_F) / (2 |H|) orbits,
+    whether or not H holds -I (when it does, A_F = B_F and <H, -I> = H)."""
+    return _combine(H, 0, 1)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -272,18 +279,8 @@ def elliptic_counts(H: SubgroupImage) -> EllipticData:
     y = |Cl(s) & -H| is prod |Cl(s_F) & -F|, and
     nu2 = |C(s)| (x + y) / (2 |H|) whether or not H holds -I (when it does,
     x = y and <H, -I> = H)."""
-    factors = _factors(H)
-    nus = []
-    for k in range(2):
-        inside = negated = 1
-        for F in factors:
-            x, y = _class_counts(F)[k]
-            inside, negated = inside * x, negated * y
-        nu, rem = divmod(_centralizer_order(H.level, k) * (inside + negated), 2 * H.order)
-        if rem:
-            raise AssertionError("internal: elliptic count is not an integer")
-        nus.append(nu)
-    return EllipticData(*nus)
+    return EllipticData(*(_combine(H, k + 1, _centralizer_order(H.level, k))
+                          for k in range(2)))
 
 
 def psl_index(H: SubgroupImage) -> int:

@@ -376,6 +376,25 @@ def ref_unramified(n, h, g):
                    for _g, *conjs in _conjugates(n) for conj in conjs)
 
 
+
+# ---- cusps by a search over vectors ----
+
+def ref_cusp_count(n, hs):
+    """The orbits of <hs, -I> on the column vectors (a, c) with
+    gcd(a, c, n) = 1, for the subgroup hs (a set of tuples): each vector not
+    yet seen starts an orbit, and every element of <hs, -I> is applied to it."""
+    hpm = set(hs) | {_neg(x, n) for x in hs}
+    seen, count = set(), 0
+    for a in range(n):
+        for c in range(n):
+            if (a, c) in seen or gcd(gcd(a, c), n) != 1:
+                continue
+            count += 1
+            for x in hpm:
+                y = _mul(x, (a, 0, c, 0), n)
+                seen.add((y[0], y[2]))
+    return count
+
 # ---- integer partitions ----
 
 # p(t) for t = 0..24 (OEIS A000041)

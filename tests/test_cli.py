@@ -51,6 +51,7 @@ def test_exit_spec_error(capsys):
         ("invariants", "--level", "5", "--subgroup", "borel"),
         ("invariants", "--level", "5", "--gens", "1,2,3"),
         ("invariants", "--level", "5", "--gens", "1,0,0,2"),
+        ("invariants", "--level", "11", "--gens", ""),
         ("bound", "--level", "5", "--degree", "0"),
         ("bound", "--level", "5", "--place", "4"),
         ("bound", "--level", "5", "--place", "3^x"),
@@ -306,6 +307,7 @@ def test_spec_integer_beyond_the_str_to_int_limit(tmp_path, capsys):
     ({"level": 11, "lnC": "inf"}, "lnC must be finite"),
     ({"level": 11, "lnC": 10 ** 400}, "bad lnC: int too large"),
     ({"level": 11, "lnC": True}, "lnC must be a number"),
+    ({"level": 11, "gens": ""}, "empty generator list"),
 ])
 def test_spec_values_are_strict(tmp_path, capsys, doc, message):
     path = tmp_path / "job.json"

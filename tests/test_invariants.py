@@ -135,6 +135,32 @@ def test_cusp_count_cap():
         cusp_count(closure(9973, []))
 
 
+def test_cusp_count_matches_the_orbit_search():
+    images = [standard_subgroup(kind, n) for kind in SubgroupKind for n in range(2, 41)]
+    images += random_subgroups(240, 1729)
+    # uncached: a random image equal to a family's must not leave its own
+    # generators in the tilde cache for later tests
+    images += [tilde_subgroup.__wrapped__(h) for h in images]
+    for h in dict.fromkeys(images):  # a tilde is often its image
+        assert cusp_count(h) == R.ref_cusp_count(h.level, R.unpacked(h.level, h.elements)), h
+
+
+def test_fixed_vectors_match_brute_counting():
+    """_fixed of x and of -x against the unimodular vectors that each fixes,
+    counted one by one."""
+    rng = random.Random(2718)
+    cases = [(n, list(R.sl2_elements(n))) for n in range(2, 17)]
+    cases += [(n, rng.sample(sorted(R.sl2_elements(n)), 300)) for n in (25, 27, 32, 49, 64, 81)]
+    for n, elements in cases:
+        qs = invariants._prime_powers(n)
+        vectors = [(v, w) for v in range(n) for w in range(n) if gcd(gcd(v, w), n) == 1]
+        for x in elements:
+            for a, b, c, d in (x, R._neg(x, n)):
+                fixed = sum((a * v + b * w - v) % n == 0 and (c * v + d * w - w) % n == 0
+                            for v, w in vectors)
+                assert invariants._fixed(qs, a, b, c, d) == fixed, (n, x, (a, b, c, d))
+
+
 # ---- elliptic counts ----
 
 def test_elliptic_count_examples():
@@ -599,7 +625,7 @@ def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, 
 
     monkeypatch.setattr(invariants, "_is_elliptic", recording)
     for cached in (invariants.standard_subgroup, elliptic_counts, curve_invariants,
-                   tilde_subgroup, invariants._factors, invariants._class_counts):
+                   tilde_subgroup, invariants._factors, invariants._local_counts):
         cached.cache_clear()
     h = standard_subgroup(kind, n)
     a = applicability(h)
