@@ -31,11 +31,16 @@ y_F = |Cl(s_F) & -F|:
 and nu3 likewise with t, whether or not H holds -I.  An image that does not
 split, or a prime-power level, has the one factor H, and the same formulas
 are then the counts at level N.  The classical families always split, and so
-do many tildes and --gens images.
+do many tildes and --gens images.  A scan decodes only the keys whose trace,
+read off the packed key, can count: det(x - I) = 2 - tr x vanishes mod each
+q || N when x fixes a unimodular vector, so only tr x = 2 mod N adds to A_F
+(-2 to B_F), and Cl(s) and Cl(t) need tr x = 0 and -1.  As x^2 = -I when
+tr x = 0 and x^3 = -I when tr x = 1 (Cayley-Hamilton), an image without -I
+has no key of either trace, so it meets -Cl(s) and -Cl(t) nowhere.
 
 The "tilde" subgroup is the subgroup generated by every elliptic element of
-<H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, each taken with the sign that
-puts it in H, and by -I when H contains it and there is an elliptic element.
+<H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, which by the above lies in H,
+and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
 checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
@@ -62,6 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
+from typing import Iterable, Iterator
 
 from .numtheory import euler_phi, prime_factors
 from .sl2n import (Mat, SubgroupImage, _admit_level, _entries, _group_keys, closure,
@@ -218,29 +224,35 @@ def _fixed(qs: list[tuple[int, int]], a: int, b: int, c: int, d: int) -> int:
     return out
 
 
+def _trace_hits(n: int, keys: Iterable[int],
+                traces: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, c, d) for each key at level n whose trace, (key // n^3 + key)
+    mod n, is one of the residues traces mod n."""
+    n3, hot = n ** 3, {t % n for t in traces}
+    return _entries(n, [k for k in keys if (k // n3 + k) % n in hot])
+
+
 @lru_cache(maxsize=_LOCAL_CACHE_SIZE)
 def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
     """Three (inside, negated) pairs from one scan of F's keys x: the
     vectors fixed by x and by -x, summed over F; |Cl(s) & F| and
-    |Cl(s) & -F|; and likewise t.  At F's level n, x fixes a vector only
-    when tr x = 2 mod rad(n), and -x only when tr x = -2.  All of SL2(Z/n),
-    one orbit, gives |G| fixed vectors and meets each class in |G| / |C| keys."""
+    |Cl(s) & -F|; and likewise t.  Only keys of trace 2, 0 or -1 mod n add
+    to the first of each pair, and only those of trace -2 to the second,
+    since |Cl & -F| = 0 when -I is not in F; only they are decoded.  All of
+    SL2(Z/n), one orbit, gives |G| fixed vectors and meets each class in
+    |G| / |C| keys."""
     n, signed = F.level, not F.contains_minus_i
     if F.order == group_order(n):
         return ((F.order,) * 2, *((F.order // _centralizer_order(n, k),) * 2 for k in range(2)))
     qs = _prime_powers(n)
-    rad = prod(p for p, _q in qs)
-    plus, minus = 2 % rad, -2 % rad
     inside, negated = [0, 0, 0], [0, 0, 0]
-    for a, b, c, d in _entries(n, F.elements):
-        tr = (a + d) % rad
-        if tr == plus:
+    for a, b, c, d in _trace_hits(n, F.elements, (2, 0, -1, -2) if signed else (2, 0, -1)):
+        if (a + d - 2) % n == 0:
             inside[0] += _fixed(qs, a, b, c, d)
-        if signed and tr == minus:
+        if signed and (a + d + 2) % n == 0:
             negated[0] += _fixed(qs, -a, -b, -c, -d)
         for k in range(2):
             inside[k + 1] += _is_elliptic(n, k, a, b, c, d)
-            negated[k + 1] += signed and _is_elliptic(n, k, -a, -b, -c, -d)
     return tuple(zip(inside, negated if signed else inside))  # -F = F when -I is in F
 
 
@@ -305,22 +317,20 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
-    """The image generated by every elliptic element of <H, -I>, signed into
-    H, with -I adjoined when H contains it and there is something to adjoin
-    it to.  No elliptic elements, which elliptic counts of zero show without
-    testing a key of level N, means the trivial image.  All of SL2(Z/N) is
-    its own tilde, since s and t generate SL2(Z).  Otherwise one closure of
-    them in key order builds it, and it is H itself when its order is |H|."""
+    """The image generated by every elliptic element of <H, -I>, each of
+    which lies in H, with -I adjoined when H contains it and there is
+    something to adjoin it to.  No elliptic elements, which elliptic counts
+    of zero show without testing a key of level N, means the trivial image.
+    All of SL2(Z/N) is its own tilde, since s and t generate SL2(Z).
+    Otherwise one closure of them in key order builds it, and it is H itself
+    when its order is |H|."""
     n = H.level
     if elliptic_counts(H) == EllipticData(0, 0):
         return H if H.order == 1 else closure(n, [])
     if H.order == group_order(n):
         return H
-    signed = not H.contains_minus_i  # x in H and -x in H cannot both hold
-    elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _entries(n, H.elements)
-                   if _is_elliptic(n, 0, a, b, c, d) or _is_elliptic(n, 1, a, b, c, d)
-                   or signed and (_is_elliptic(n, 0, -a, -b, -c, -d)
-                                  or _is_elliptic(n, 1, -a, -b, -c, -d)))
+    elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _trace_hits(n, H.elements, (0, -1))
+                   if _is_elliptic(n, 0, a, b, c, d) or _is_elliptic(n, 1, a, b, c, d))
     if H.contains_minus_i:
         elems.append(Mat(n, n - 1, 0, 0, n - 1))  # -I
     tilde = closure(n, elems)
@@ -361,5 +371,5 @@ def verify_unramified(H: SubgroupImage, G: SubgroupImage) -> bool:
     gpm = pm_elements(G)
     if not gpm <= hpm:
         raise ValueError("G is not contained in <H, -I>")
-    return not any(_is_elliptic(H.level, k, *x) for x in _entries(H.level, hpm - gpm)
+    return not any(_is_elliptic(H.level, k, *x) for x in _trace_hits(H.level, hpm - gpm, (0, -1))
                    for k in range(2))

@@ -155,10 +155,14 @@ def test_fixed_vectors_match_brute_counting():
         qs = invariants._prime_powers(n)
         vectors = [(v, w) for v in range(n) for w in range(n) if gcd(gcd(v, w), n) == 1]
         for x in elements:
-            for a, b, c, d in (x, R._neg(x, n)):
+            trace = (x[0] + x[3]) % n
+            for sign, (a, b, c, d) in ((1, x), (-1, R._neg(x, n))):
                 fixed = sum((a * v + b * w - v) % n == 0 and (c * v + d * w - w) % n == 0
                             for v, w in vectors)
                 assert invariants._fixed(qs, a, b, c, d) == fixed, (n, x, (a, b, c, d))
+                # det(x - I) = 2 - tr x: x fixes a vector only when tr x = 2 mod n,
+                # and -x only when tr x = -2
+                assert not fixed or trace == 2 * sign % n, (n, x, sign)
 
 
 # ---- elliptic counts ----
@@ -598,6 +602,100 @@ def test_local_counts_equal_one_factor_counts(monkeypatch):
     # every family image at a level with two or more primes splits
     mixed = [len(prime_powers(n)) > 1 for n in range(2, 61)]
     assert split >= 3 * sum(mixed) + sum(mixed[:39])
+
+
+# large low-index images at prime-power levels, one factor each, whose
+# counts are one scan of all their keys
+PRIME_POWER_GENS = {64: "1,1,0,1;1,0,2,1;3,0,0,43", 81: "1,1,0,1;1,0,3,1;2,0,0,41",
+                    125: "1,1,0,1;1,0,5,1;2,0,0,63"}
+
+
+def trace_filter_corpus():
+    """Every family image at 2..60 and its tilde, the 240 reference random
+    subgroups and the PRIME_POWER_GENS images.  SL2(Z/N) is left out: its
+    factors take the closed form and it is its own tilde, so nothing of it
+    is scanned."""
+    images = [standard_subgroup(kind, n) for kind in SubgroupKind
+              if kind is not SubgroupKind.FULL for n in range(2, 61)]
+    images += [tilde_subgroup(h) for h in images]
+    images += random_subgroups(240, 1729)
+    images += [closure(n, [Mat.make(n, *map(int, g.split(","))) for g in gens.split(";")])
+               for n, gens in PRIME_POWER_GENS.items()]
+    return list(dict.fromkeys(images))
+
+
+def unfiltered_local_counts(F):
+    """_local_counts(F) from _fixed and _is_elliptic on every key of F and on
+    its negative, with no trace test and no shortcut when -I is in F."""
+    n, qs = F.level, invariants._prime_powers(F.level)
+    inside, negated = [0, 0, 0], [0, 0, 0]
+    for x in R.unpacked(n, F.elements):
+        for sums, y in ((inside, x), (negated, R._neg(x, n))):
+            sums[0] += invariants._fixed(qs, *y)
+            for k in range(2):
+                sums[k + 1] += invariants._is_elliptic(n, k, *y)
+    return tuple(zip(inside, negated))
+
+
+def unfiltered_tilde_elements(h):
+    """Every key of h that is elliptic, or whose negative is when -I is not
+    in h, in key order, then -I when h holds it: what tilde_subgroup closes."""
+    n, signed = h.level, not h.contains_minus_i
+
+    def elliptic(x):
+        return any(invariants._is_elliptic(n, k, *x) for k in range(2))
+
+    elems = sorted(Mat(n, *x) for x in R.unpacked(n, h.elements)
+                   if elliptic(x) or signed and elliptic(R._neg(x, n)))
+    if elems and h.contains_minus_i:
+        elems.append(minus_identity(n))
+    return elems
+
+
+def test_traces_zero_and_one_force_minus_identity():
+    """x^2 = -I when tr x = 0 and x^3 = -I when tr x = 1 (Cayley-Hamilton),
+    so an image without -I has no key of either trace, and the scans need
+    not test -x for Cl(s) or Cl(t)."""
+    for n in range(2, 17):
+        minus = R._neg((1, 0, 0, 1), n)
+        for x in R.sl2_elements(n):
+            x2 = R._mul(x, x, n)
+            if (x[0] + x[3]) % n == 0:
+                assert x2 == minus, (n, x)
+            if (x[0] + x[3] - 1) % n == 0:
+                assert R._mul(x2, x, n) == minus, (n, x)
+    for h in trace_filter_corpus():
+        if not h.contains_minus_i:
+            assert all((a + d) % h.level not in (0, 1)
+                       for a, _b, _c, d in R.unpacked(h.level, h.elements)), h
+
+
+def test_trace_filter_matches_unfiltered_scans(monkeypatch):
+    """The scans that decode only the keys of a few traces count what a scan
+    of every key counts, and the tilde closes the same element list."""
+    images = trace_filter_corpus()
+    factors = dict.fromkeys(F for h in images for F in invariants._factors(h)
+                            if F.order < group_order(F.level))  # all of SL2 is a formula
+    for F in factors:
+        assert invariants._local_counts(F) == unfiltered_local_counts(F), F
+    closed, close = [], invariants.closure
+
+    def recording(n, gens):
+        gens = list(gens)
+        closed.append((n, gens))
+        return close(n, gens)
+
+    monkeypatch.setattr(invariants, "closure", recording)
+    scanned = 0
+    for h in images:
+        elems = unfiltered_tilde_elements(h) if h.order < group_order(h.level) else []
+        if not elems:
+            continue  # no scan: the tilde is H, or the trivial image
+        closed.clear()
+        tilde_subgroup.__wrapped__(h)
+        assert [gens for n, gens in closed if n == h.level] == [elems], h
+        scanned += 1
+    assert scanned > 100
 
 
 def test_non_split_image_falls_back_to_one_factor():
