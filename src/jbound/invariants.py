@@ -19,11 +19,11 @@ and nu3 likewise with t.  The genus follows from the exact integer identity
 All three counts come from one scan of keys, taken one prime power at a time
 when H splits.  SL2(Z/N) is the product of the SL2(Z/q) over the prime powers
 q || N, and H lies in the product of its images H_q mod q; it equals that
-product exactly when |H| = prod |H_q|, each H_q being the closure of H's
-generators mod q.  Then fixed vectors and conjugacy classes factor too, and
-one scan of a factor F's keys x gives A_F, the vectors fixed by each x
-summed over F, and B_F, those fixed by each -x, with x_F = |Cl(s_F) & F| and
-y_F = |Cl(s_F) & -F|:
+product exactly when |H| = prod |H_q|.  A family carries its H_q, the same
+family at q; any other image closes its generators mod q.  Then fixed
+vectors and conjugacy classes factor too, and one scan of a factor F's keys
+x gives A_F, the vectors fixed by each x summed over F, and B_F, those fixed
+by each -x, with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 
     nuInf = (prod A_F + prod B_F) / (2 |H|),
     nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
@@ -48,15 +48,17 @@ closure of those elements in key order at level N, or H itself when they
 agree or H is SL2(Z/N); when the elliptic counts are zero it is the trivial
 image, and no key of level N is tested.
 
-Each classical family is written down from its definition and checked
-against its exact order; its generators, which _factors reduces mod q, are
-none for Gamma(N), T for Gamma1(N), T and each diag(u, u^-1) that enlarges
-the group for Gamma0(N), and S and T for SL2(Z/N).  applicability reads the
-invariants of H and of its tilde once, through the cached curve_invariants,
-and returns both, so callers never count cusps themselves; each of the four
-invariant caches keeps its 64 most recent entries, and the factor lists and
-the factors' local counts keep their 4 most recent.  Every level is admitted
-by sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
+Gamma(N) is the trivial closure, with no factors, as it equals the
+elliptic-free tilde.  The other families are written down from their
+definitions and checked against their exact orders; their generators are T
+for Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept,
+picked in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability
+reads the invariants of H and of its tilde once, through the cached
+curve_invariants, and returns both, so callers never count cusps themselves;
+each of the four invariant caches keeps its 64 most recent entries, and the
+factor lists and the factors' local counts keep their 4 most recent.  A
+cached family image holds its factors.  Every level is admitted by
+sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
 sl2n.ENUMERATION_CAP, as it reads at that call, before any key is made.
 """
 
@@ -127,19 +129,29 @@ class Applicability:
 @lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     """The image of a classical family at level n, its keys written down from
-    the family's definition and checked against the family's exact order.  A
-    level above the cap is refused before n is factored or a key is made."""
+    the family's definition and checked against the family's exact order,
+    with its factors at each q || N when N has two or more primes; Gamma(N)
+    is closure(n, []).  A level above the cap is refused before n is
+    factored or a key is made."""
     kind = SubgroupKind(kind)
+    if kind is SubgroupKind.PRINCIPAL:
+        return closure(n, [])  # no factors: it equals the elliptic-free tilde
     _admit_level(n)  # and a level below 2 is a ValueError
     n2, n3, t = n * n, n ** 3, Mat(n, 1, 1, 0, 1)
-    if kind is SubgroupKind.PRINCIPAL:
-        gens, keys, order = (), [n3 + 1], 1
-    elif kind is SubgroupKind.GAMMA1:  # [[1, b], [0, 1]]
+    if kind is SubgroupKind.GAMMA1:  # [[1, b], [0, 1]]
         gens, keys, order = (t,), range(n3 + 1, 2 * n3, n2), n
     elif kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
         units = [(u, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1]
-        # diag(u, u^-1) enlarges <T, kept> exactly when it enlarges <kept>
-        gens = (t, *closure(n, (Mat(n, u, 0, 0, v) for u, v in units)).generators)
+        # diag(u, u^-1) enlarges <T, kept> exactly when u enlarges <kept units>
+        gens, sub = [t], {1}
+        for u, v in units:
+            if u not in sub:
+                gens.append(Mat(n, u, 0, 0, v))
+                power, grown = u, set(sub)
+                while power not in sub:  # <sub, u> is the union of the cosets sub u^k
+                    grown |= {s * power % n for s in sub}
+                    power = power * u % n
+                sub = grown
         keys = chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units)
         order = n * euler_phi(n)
     else:  # FULL
@@ -147,7 +159,9 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     elements = set(keys)  # a frozenset copied from a set keeps a smaller table
     if len(elements) != order:
         raise AssertionError(f"internal: {kind.value} keys give the wrong order")
-    return SubgroupImage(n, frozenset(elements), gens)
+    qs = _prime_powers(n)
+    factors = tuple(standard_subgroup(kind, q) for _p, q in qs) if len(qs) > 1 else ()
+    return SubgroupImage(n, frozenset(elements), tuple(gens), factors)
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -164,7 +178,10 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=_LOCAL_CACHE_SIZE)
 def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
     """The images H_q of H mod each prime power q || N when H is their
-    direct product, which holds exactly when |H| = prod |H_q|; else (H,)."""
+    direct product, which holds exactly when |H| = prod |H_q|; else (H,).
+    A family image carries them; any other is reduced and closed mod q."""
+    if H.factors:
+        return H.factors
     n = H.level
     qs = _prime_powers(n)
     if len(qs) == 1:

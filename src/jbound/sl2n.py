@@ -9,7 +9,7 @@ never depends on how a subgroup was generated.
 ``_group_keys`` writes SL2(Z/N) down: it walks unimodular first columns
 (a, c) with gcd(a, c, N) = 1 and sweeps the N completions of each, which
 makes the order formula an actual counting argument rather than a filter.
-An image other than a classical family is built by the lazy ``closure``.
+An image other than Gamma0, Gamma1 or SL2 is built by the lazy ``closure``.
 """
 
 from __future__ import annotations
@@ -94,12 +94,14 @@ class SubgroupImage:
     The ``Mat`` values in ``generators`` always generate ``elements``
     (``closure`` keeps only those); equality and hashing look only at (level,
     elements), never at the particular generating set, and whether -I is in
-    the subgroup is read from the elements.
+    the subgroup is read from the elements.  ``factors``, when set, holds the
+    images mod each prime power q || N, of which the subgroup is the product.
     """
 
     level: int
     elements: frozenset[int]
     generators: tuple = field(compare=False)
+    factors: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.level ** 3 + 1 not in self.elements:  # the key of I

@@ -269,6 +269,7 @@ def test_invariants_stable_under_adjoining_minus_i():
 
 
 CACHED = (standard_subgroup, elliptic_counts, curve_invariants, tilde_subgroup)
+ALL_CACHES = CACHED + (invariants._factors, invariants._local_counts)
 
 
 def test_invariant_caches_are_bounded_and_recompute_after_eviction():
@@ -710,6 +711,62 @@ def test_non_split_image_falls_back_to_one_factor():
     assert inv == brute_invariants(h)
 
 
+def test_family_factors_are_the_families_mod_q():
+    """Each factor of a family image is its keys reduced mod q, reduced here
+    key by key, and is the cached family image at level q.  Gamma(N) is the
+    trivial closure and carries no factors: it equals the elliptic-free
+    tilde, and the two must not differ in the closures they cost."""
+    for cached in ALL_CACHES:
+        cached.cache_clear()
+    for kind in SubgroupKind:
+        for n in range(2, 41 if kind is SubgroupKind.FULL else 61):
+            if is_prime(n):
+                continue
+            h = standard_subgroup(kind, n)
+            qs = prime_powers(n)
+            factors = invariants._factors(h)
+            assert len(factors) == len(qs), (kind, n)
+            assert len(h.factors) == (len(qs) if len(qs) > 1 and kind != "gamma" else 0)
+            for q, f in zip(qs, factors):
+                reduced = {((a % q * q + b % q) * q + c % q) * q + d % q
+                           for a, b, c, d in R.unpacked(n, h.elements)}
+                assert reduced == f.elements, (kind, n, q)
+                if kind == "gamma":
+                    assert f == standard_subgroup(kind, q) == closure(q, []), (n, q)
+                else:
+                    assert f is standard_subgroup(kind, q), (kind, n, q)
+    for n in range(2, 61):
+        assert standard_subgroup("gamma", n) == closure(n, []), n
+        assert standard_subgroup("gamma", n).factors == (), n
+
+
+def closures_counted(images, monkeypatch):
+    """Calls to closure while applicability runs over the (kind, n) images
+    in the given order, from empty caches."""
+    calls, close = [], invariants.closure
+    for cached in ALL_CACHES:
+        cached.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "closure", lambda n, gens: calls.append(n) or close(n, gens))
+        for kind, n in images:
+            applicability(standard_subgroup(kind, n))
+    return len(calls)
+
+
+def test_closures_do_not_depend_on_the_order_images_come_in(monkeypatch):
+    """Equal images share the cached invariants, so the closures a run makes
+    must not depend on which of two equal images came first: Gamma(N) and the
+    elliptic-free tilde of Gamma1(N) are both the trivial closure.  The same
+    count in any order is what the benchmark's steady counters need."""
+    levels = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 17, 25, 27, 30)
+    images = [(kind, n) for kind in ("gamma0", "gamma1", "gamma") for n in levels]
+    forward = closures_counted(images, monkeypatch)
+    assert forward > 0
+    assert closures_counted(images[::-1], monkeypatch) == forward
+    assert closures_counted(random.Random(17).sample(images, len(images)),
+                            monkeypatch) == forward
+
+
 @pytest.mark.parametrize("kind, n", [("gamma1", 12), ("gamma", 10), ("gamma0", 12)])
 def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, n):
     """Elliptic counts of zero come from the factors' keys, and the tilde is
@@ -722,8 +779,7 @@ def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, 
         return is_elliptic(level, *args)
 
     monkeypatch.setattr(invariants, "_is_elliptic", recording)
-    for cached in (invariants.standard_subgroup, elliptic_counts, curve_invariants,
-                   tilde_subgroup, invariants._factors, invariants._local_counts):
+    for cached in ALL_CACHES:
         cached.cache_clear()
     h = standard_subgroup(kind, n)
     a = applicability(h)
