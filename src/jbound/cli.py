@@ -7,7 +7,8 @@ testing).  A job can be given as a JSON document via --spec (file or '-' for
 stdin); individual flags override fields of the document.
 
 Exit codes: 0 success, 2 no bound route applies, 3 malformed job
-specification, 4 enumeration cap exceeded.
+specification, 4 request too large: the enumeration cap is exceeded, or
+the process ran out of memory (a MemoryError), each with its own message.
 """
 
 from __future__ import annotations
@@ -499,6 +500,10 @@ def main(argv=None) -> int:
         return EXIT_SPEC_ERROR
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP_EXCEEDED
+    except MemoryError:
+        print("error: out of memory: the request needs more memory than the "
+              "process may use", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except InapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)

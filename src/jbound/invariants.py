@@ -43,14 +43,16 @@ The "tilde" subgroup is the subgroup generated by every elliptic element of
 and by -I when H contains it and there is an elliptic element.
 It is normal in H, and its curve covers that of H unramified away from the
 cusps (Bilu, "Baker's method and modular curves", 2002); verify_unramified
-checks this as (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
+checks this as tilde(H) <= <G, -I>, which, as <G, -I> is a group holding -I,
+says (Cl(s) u Cl(t)) & <H, -I> <= <G, -I>.  Each tilde is one
 closure of those elements in key order at level N, or H itself when they
 agree or H is SL2(Z/N); when the elliptic counts are zero it is the trivial
 image, and no key of level N is tested.
 
 Gamma(N) is the trivial closure, with no factors, as it equals the
-elliptic-free tilde.  The other families are written down from their
-definitions and checked against their exact orders; their generators are T
+elliptic-free tilde.  SL2(Z/N) stores no keys: every count of it is read
+from |SL2(Z/N)|.  Gamma0 and Gamma1 are written down from their
+definitions and checked against their exact orders.  The generators are T
 for Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept,
 picked in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability
 reads the invariants of H and of its tilde once, through the cached
@@ -72,8 +74,8 @@ from math import gcd, prod
 from typing import Iterable, Iterator
 
 from .numtheory import euler_phi, prime_factors
-from .sl2n import (Mat, SubgroupImage, _admit_level, _entries, _group_keys, closure,
-                   group_order, pm_elements)
+from .sl2n import (Mat, SubgroupImage, _admit_level, _entries, closure, group_order,
+                   pm_elements)
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 _LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
@@ -128,16 +130,20 @@ class Applicability:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
-    """The image of a classical family at level n, its keys written down from
-    the family's definition and checked against the family's exact order,
-    with its factors at each q || N when N has two or more primes; Gamma(N)
-    is closure(n, []).  A level above the cap is refused before n is
-    factored or a key is made."""
+    """The image of a classical family at level n, with its factors at each
+    q || N when N has two or more primes.  Gamma0 and Gamma1 keys are written
+    down from the family's definition and checked against its exact order;
+    SL2(Z/N) has no keys, and Gamma(N) is closure(n, []).  A level above the
+    cap is refused before n is factored or a key is made."""
     kind = SubgroupKind(kind)
     if kind is SubgroupKind.PRINCIPAL:
         return closure(n, [])  # no factors: it equals the elliptic-free tilde
     _admit_level(n)  # and a level below 2 is a ValueError
     n2, n3, t = n * n, n ** 3, Mat(n, 1, 1, 0, 1)
+    qs = _prime_powers(n)
+    factors = tuple(standard_subgroup(kind, q) for _p, q in qs) if len(qs) > 1 else ()
+    if kind is SubgroupKind.FULL:
+        return SubgroupImage(n, None, (Mat(n, 0, n - 1, 1, 0), t), factors)
     if kind is SubgroupKind.GAMMA1:  # [[1, b], [0, 1]]
         gens, keys, order = (t,), range(n3 + 1, 2 * n3, n2), n
     elif kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
@@ -154,13 +160,9 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
                 sub = grown
         keys = chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units)
         order = n * euler_phi(n)
-    else:  # FULL
-        gens, keys, order = (Mat(n, 0, n - 1, 1, 0), t), _group_keys(n), group_order(n)
     elements = set(keys)  # a frozenset copied from a set keeps a smaller table
     if len(elements) != order:
         raise AssertionError(f"internal: {kind.value} keys give the wrong order")
-    qs = _prime_powers(n)
-    factors = tuple(standard_subgroup(kind, q) for _p, q in qs) if len(qs) > 1 else ()
     return SubgroupImage(n, frozenset(elements), tuple(gens), factors)
 
 
@@ -381,12 +383,11 @@ def applicability(H: SubgroupImage) -> Applicability:
 def verify_unramified(H: SubgroupImage, G: SubgroupImage) -> bool:
     """True when the covering of curves attached to G inside <H, -I> is
     unramified away from the cusps: every conjugate of s or t that lands in
-    <H, -I> must already land in <G, -I>."""
+    <H, -I> must already land in <G, -I>, that is, since <G, -I> is a group
+    holding -I, the tilde of H must lie in it."""
     if H.level != G.level:
         raise ValueError("subgroups must share a level")
-    hpm = pm_elements(H)
     gpm = pm_elements(G)
-    if not gpm <= hpm:
+    if not gpm <= pm_elements(H):
         raise ValueError("G is not contained in <H, -I>")
-    return not any(_is_elliptic(H.level, k, *x) for x in _trace_hits(H.level, hpm - gpm, (0, -1))
-                   for k in range(2))
+    return tilde_subgroup(H).elements <= gpm

@@ -1,14 +1,15 @@
 """Enumeration and subgroup closure in SL2(Z/N), on packed keys.
 
-A subgroup's element set is a frozenset of packed keys: [[a, b], [c, d]]
-with entries in [0, N) is ((a*N + b)*N + c)*N + d, so sorted keys follow
-sorted ``Mat`` tuples, and the level is stored once, on the image.  ``Mat``
-is validated input only, for generators; products are taken on keys inside
-``closure``.  Element sets are compared by content, so subgroup equality
-never depends on how a subgroup was generated.
-``_group_keys`` writes SL2(Z/N) down: it walks unimodular first columns
-(a, c) with gcd(a, c, N) = 1 and sweeps the N completions of each, which
-makes the order formula an actual counting argument rather than a filter.
+A subgroup's keys are a frozenset of packed keys, or None for all of
+SL2(Z/N): [[a, b], [c, d]] with entries in [0, N) is ((a*N + b)*N + c)*N + d,
+so sorted keys follow sorted ``Mat`` tuples, and the level is stored once, on
+the image.  ``Mat`` is validated input only, for generators; products are
+taken on keys inside ``closure``.  Keys are compared by content, so subgroup
+equality never depends on how a subgroup was generated.
+``_group_keys`` writes SL2(Z/N) down when its ``elements`` are read: it walks
+unimodular first columns (a, c) with gcd(a, c, N) = 1 and sweeps the N
+completions of each, which makes the order formula an actual counting
+argument rather than a filter.
 An image other than Gamma0, Gamma1 or SL2 is built by the lazy ``closure``.
 """
 
@@ -89,36 +90,43 @@ def _key(m: Mat) -> int:
 
 @dataclass(frozen=True)
 class SubgroupImage:
-    """A subgroup of SL2(Z/N) by its element set, a frozenset of packed keys.
+    """A subgroup of SL2(Z/N) by its keys, a frozenset of packed keys, or
+    ``None`` for all of SL2(Z/N), whose ``elements`` are built at each read
+    and never kept.
 
-    The ``Mat`` values in ``generators`` always generate ``elements``
+    The ``Mat`` values in ``generators`` always generate the subgroup
     (``closure`` keeps only those); equality and hashing look only at (level,
-    elements), never at the particular generating set, and whether -I is in
-    the subgroup is read from the elements.  ``factors``, when set, holds the
-    images mod each prime power q || N, of which the subgroup is the product.
+    keys), never at the particular generating set, so a closure that reaches
+    SL2(Z/N), stored as ``None`` too, equals the family image.  ``factors``,
+    when set, holds the images mod each prime power q || N, of which the
+    subgroup is the product.
     """
 
     level: int
-    elements: frozenset[int]
+    keys: frozenset[int] | None
     generators: tuple = field(compare=False)
     factors: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.level ** 3 + 1 not in self.elements:  # the key of I
+        if self.keys is not None and self.level ** 3 + 1 not in self.keys:  # the key of I
             raise ValueError("subgroup must contain the identity")
 
     def __repr__(self) -> str:
-        return (f"SubgroupImage(level={self.level}, order={len(self.elements)}, "
+        return (f"SubgroupImage(level={self.level}, order={self.order}, "
                 f"generators={len(self.generators)}, minus_i={self.contains_minus_i})")
 
     @property
+    def elements(self) -> frozenset[int]:
+        return frozenset(_group_keys(self.level)) if self.keys is None else self.keys
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return group_order(self.level) if self.keys is None else len(self.keys)
 
     @property
     def contains_minus_i(self) -> bool:
-        n = self.level
-        return (n - 1) * (n ** 3 + 1) in self.elements  # -I packs to (n-1)*n^3 + (n-1)
+        n = self.level  # -I packs to (n-1)*n^3 + (n-1)
+        return self.keys is None or (n - 1) * (n ** 3 + 1) in self.keys
 
 
 def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
@@ -128,7 +136,8 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
     already in the set is skipped; a new one multiplies the keys found so far,
     and each key that appears meets every kept generator, breadth-first.  So
     each element meets each kept generator once, and ``generators`` is the
-    kept subsequence (in a finite group, inverses are powers).
+    kept subsequence (in a finite group, inverses are powers).  All of
+    SL2(Z/n) is stored with no keys.
     """
     _admit_level(n)
     n2 = n * n
@@ -155,7 +164,7 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
                     seen.add(nxt)
                     queue.append(nxt)
     del queue  # it holds every key again; free it before the set is copied
-    return SubgroupImage(n, frozenset(seen), tuple(kept))
+    return SubgroupImage(n, None if len(seen) == group_order(n) else frozenset(seen), tuple(kept))
 
 
 def _entries(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, text and JSON output, job documents."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -477,8 +478,9 @@ def test_bound_job_decides_the_route_once(monkeypatch, capsys):
 
 
 def test_full_level_job_never_closes_sl2(monkeypatch, capsys):
-    """SL2(Z/13) is written down, not closed, and its tilde is H itself,
-    since s and t generate it, so no closure of its order runs at all."""
+    """SL2(Z/13) is neither written down nor closed, and its tilde is H
+    itself, since s and t generate it, so no closure of its order runs at
+    all."""
     full_closures = []
     closure = sl2n.closure
 
@@ -496,6 +498,52 @@ def test_full_level_job_never_closes_sl2(monkeypatch, capsys):
     code, _out, _err = run(capsys, "invariants", "--level", "13", "--subgroup", "full")
     assert code == EXIT_OK
     assert full_closures == []
+
+
+def run_limited(megabytes, *argv):
+    """``python -m jbound`` in a child process whose address space is
+    limited by RLIMIT_AS; the limit acts on the child only."""
+    limit = megabytes * 2 ** 20
+    return subprocess.run(
+        [sys.executable, "-m", "jbound", *argv], capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_full_group_is_never_written_down(monkeypatch):
+    """Every SL2(Z/N) the cap admits, 2..220, is X(1) without a key of it
+    written down: the CLI table runs in 1 GB, and in process no count reads
+    the keys, which here cannot be written."""
+    proc = run_limited(1024, "tables", "--family", "full", "--from", "2", "--to", "220")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+    assert rows == [["full", str(n), "1", "1", "1", "1", "0", str(sl2n.group_order(n)),
+                     "1", "Inapplicable"] for n in range(2, 221)]
+
+    def refuse(n):
+        raise AssertionError(f"the keys of SL2(Z/{n}) were written down")
+
+    monkeypatch.setattr(sl2n, "_group_keys", refuse)
+    for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
+                   invariants.curve_invariants, invariants.tilde_subgroup,
+                   invariants._factors, invariants._local_counts):
+        cached.cache_clear()
+    for n in range(2, 221):
+        app = invariants.applicability(invariants.standard_subgroup("full", n))
+        assert app.verdict is invariants.Verdict.INAPPLICABLE, n
+        assert app.invariants == app.tilde_invariants == invariants.CurveInvariants(
+            1, 1, 1, 1, 0), n
+        assert app.tilde_image.order == sl2n.group_order(n), n
+
+
+def test_out_of_memory_is_a_request_too_large():
+    """A MemoryError ends in one error line and exit 4, not a traceback.
+    Closing SL2(Z/200) from T and S needs several hundred MB; 150 MB are
+    enough for a small job."""
+    assert run_limited(150, "invariants", "--level", "11").returncode == EXIT_OK
+    proc = run_limited(150, "invariants", "--level", "200", "--gens", "1,1,0,1;0,199,1,0")
+    assert proc.returncode == EXIT_CAP_EXCEEDED
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
 
 
 # ---- tables ----

@@ -99,7 +99,9 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
     """Each family's keys are its definition filtered from all of SL2(Z/N);
     its generators close to it, and they are the subsequence that closing
     the family's generator list keeps: T and then every unit diagonal for
-    Gamma0(N), S and T for SL2(Z/N)."""
+    Gamma0(N), S and T for SL2(Z/N).  SL2(Z/N) stores no keys, and so does
+    the closure of its generators, which equals and hashes like it; its
+    elements, read, are still the definition."""
     for n in range(2, 61):
         group = list(R.sl2_elements(n))
         t = Mat(n, 1, 1, 0, 1)
@@ -118,6 +120,8 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
                         if member(a, b, c, d)}
             assert H.elements == expected, (kind, n)
             assert closure(n, H.generators) == H, (kind, n)
+            assert hash(closure(n, H.generators)) == hash(H), (kind, n)
+            assert (H.keys is None) == (kind is SubgroupKind.FULL), (kind, n)
             assert H.generators == closure(n, listed[kind]).generators, (kind, n)
 
 
