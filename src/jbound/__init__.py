@@ -6,29 +6,20 @@ counts, genus), decides which of two effective bound routes applies, and
 evaluates the resulting explicit upper bound on the height of S-integral
 j-invariants in directed-rounding log-space arithmetic, so every reported
 digit is a certified one-sided enclosure.
+
+The exact layer (``numtheory``, ``sl2n``, ``invariants``) is imported with
+the package.  The bound layer (``bounds``, ``xreal`` and mpmath under them)
+is imported at the first read of one of its names here, so a caller that
+only counts never loads it.
 """
 
-from .bounds import (
-    BoundReport,
-    InapplicableError,
-    NumberFieldSpec,
-    SSetSpec,
-    Theorem,
-    bound_auto,
-    bound_main,
-    bound_main1,
-    delta1_ln,
-    h_s,
-    lambda_ln,
-    ln_delta,
-    ln_delta0,
-    ln_dstar,
-    p_max,
-)
+import importlib
+
 from .invariants import (
     Applicability,
     CurveInvariants,
     EllipticData,
+    InapplicableError,
     SubgroupKind,
     Verdict,
     applicability,
@@ -41,7 +32,16 @@ from .invariants import (
     tilde_subgroup,
     verify_unramified,
 )
-from .numtheory import b_of, d_n, euler_phi, is_prime, m_of, prime_factors, sl2_order
+from .numtheory import (
+    DEFAULT_PREC,
+    b_of,
+    d_n,
+    euler_phi,
+    is_prime,
+    m_of,
+    prime_factors,
+    sl2_order,
+)
 from .sl2n import (
     ENUMERATION_CAP,
     CapExceeded,
@@ -52,7 +52,22 @@ from .sl2n import (
     group_order,
     pm_elements,
 )
-from .xreal import DEFAULT_PREC, ExponentOverflow, Rounding, XReal
+
+_LAZY = {
+    **dict.fromkeys(("BoundReport", "NumberFieldSpec", "SSetSpec", "Theorem",
+                     "bound_auto", "bound_main", "bound_main1", "delta1_ln",
+                     "h_s", "lambda_ln", "ln_delta", "ln_delta0", "ln_dstar",
+                     "p_max"), "bounds"),
+    **dict.fromkeys(("ExponentOverflow", "Rounding", "XReal"), "xreal"),
+}
+
+
+def __getattr__(name):
+    """A bound-layer name, read from its module at each access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import Applicability, Verdict
+from .invariants import Applicability, InapplicableError, Verdict
 from .numtheory import b_of, d_n, euler_phi, is_prime, m_of
 from .xreal import DEFAULT_PREC, Rounding, XReal
 
@@ -99,18 +99,6 @@ class BoundReport:
     @property
     def ln_bound(self) -> XReal:
         return self.components["lnBound"]
-
-
-class InapplicableError(RuntimeError):
-    """Neither bound route applies; carries both cusp counts for diagnosis."""
-
-    def __init__(self, subgroup_cusps: int, tilde_cusps: int):
-        self.subgroup_cusps = subgroup_cusps
-        self.tilde_cusps = tilde_cusps
-        super().__init__(
-            "no bound route applies: the subgroup's curve has "
-            f"{subgroup_cusps} cusp(s) and its elliptic-stabilizer subgroup's "
-            f"curve has {tilde_cusps} cusp(s); at least three are required")
 
 
 def _ln_int(k: int, rounding: Rounding, prec: int) -> XReal:

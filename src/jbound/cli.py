@@ -9,36 +9,36 @@ stdin); individual flags override fields of the document.
 Exit codes: 0 success, 2 no bound route applies, 3 malformed job
 specification, 4 request too large: the enumeration cap is exceeded, or
 the process ran out of memory (a MemoryError), each with its own message.
+
+Only the exact layer is imported with this module.  ``tables`` and
+``invariants`` run without the bound layer (``bounds``, ``xreal``, mpmath) or
+``fractions``; the ``bound`` branch imports it, and so does reading back a
+JSON report that holds a bound.  ``json`` is imported by --spec and by the
+JSON writer and reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .bounds import (
-    BoundReport,
-    InapplicableError,
-    NumberFieldSpec,
-    SSetSpec,
-    Theorem,
-    _check_compatible,
-    _log10,
-    bound_auto,
-)
 from .invariants import (
     CurveInvariants,
+    InapplicableError,
     SubgroupKind,
     applicability,
     standard_subgroup,
 )
-from .numtheory import is_prime
+from .numtheory import DEFAULT_PREC, is_prime
 from .sl2n import CapExceeded, Mat, SubgroupImage, _admit_level, closure
-from .xreal import DEFAULT_PREC, Rounding, XReal
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport, NumberFieldSpec, SSetSpec
+    from .xreal import XReal
 
 EXIT_OK = 0
 EXIT_INAPPLICABLE = 2
@@ -137,6 +137,7 @@ def _as_int(value, what: str) -> int:
 
 
 def _load_spec_document(path: str) -> dict:
+    import json
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -237,6 +238,7 @@ def _resolve_subgroup(spec: JobSpec) -> SubgroupImage:
 
 
 def _field_and_sset(spec: JobSpec) -> tuple[NumberFieldSpec, SSetSpec]:
+    from .bounds import NumberFieldSpec, SSetSpec, _check_compatible
     try:
         field = NumberFieldSpec(spec.degree, spec.abs_disc)
         sset = SSetSpec(spec.inf_places, spec.places)
@@ -251,7 +253,9 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
     app = applicability(H)
     warnings: list[str] = []
     bound = None
-    if want_bound:
+    if want_bound:  # the first use of the bound layer in a process imports it
+        from .bounds import bound_auto
+        from .xreal import Rounding
         fieldspec, sset = _field_and_sset(spec)
         # raises InapplicableError when neither route applies
         bound = bound_auto(app, fieldspec, sset, spec.ln_c,
@@ -285,6 +289,7 @@ def _xreal_to_json(x: XReal) -> dict:
 
 
 def _xreal_from_json(doc: dict) -> XReal:
+    from .xreal import Rounding, XReal
     sign, man_hex, exp, bc = doc["raw"]
     raw = (int(sign), int(man_hex, 16), int(exp), int(bc))
     return XReal(raw, Rounding[doc["rounding"].upper()], int(doc["prec"]))
@@ -312,6 +317,7 @@ def _bound_to_json(b: BoundReport) -> dict:
 
 
 def _bound_from_json(doc: dict) -> BoundReport:
+    from .bounds import BoundReport, Theorem
     return BoundReport(
         theorem=Theorem(doc["theorem"]),
         level_used=int(doc["levelUsed"]),
@@ -323,6 +329,7 @@ def _bound_from_json(doc: dict) -> BoundReport:
 
 
 def report_to_json(report: Report) -> str:
+    import json
     doc = {
         "schema": report.schema,
         "command": report.command,
@@ -342,6 +349,7 @@ def report_to_json(report: Report) -> str:
 
 
 def report_from_json(text: str) -> Report:
+    import json
     doc = json.loads(text)
     return Report(
         schema=int(doc["schema"]),
@@ -361,6 +369,7 @@ def report_from_json(text: str) -> Report:
 # ---- text rendering ----
 
 def _marker(x: XReal) -> str:
+    from .xreal import Rounding
     return "rounded up" if x.rounding is Rounding.UP else "rounded down"
 
 
@@ -378,6 +387,8 @@ def _render_invariants(report: Report, out: list) -> None:
 
 
 def _render_bound(report: Report, out: list) -> None:
+    from .bounds import _log10
+    from .xreal import XReal
     b = report.bound
     out.append(f"theorem {b.theorem.value}")
     out.append(f"levelUsed {b.level_used}")
@@ -450,7 +461,8 @@ def _add_job_flags(sub: argparse.ArgumentParser) -> None:
                      help="finite place as p or p^f; repeatable")
     sub.add_argument("--lnC", type=float, help="ln of the absolute constant (default 0)")
     sub.add_argument("--precision", type=int,
-                     help=f"mantissa precision in bits (default 128, at most {MAX_PRECISION})")
+                     help=f"mantissa precision in bits (default {DEFAULT_PREC}, "
+                          f"at most {MAX_PRECISION})")
     sub.add_argument("--json", action="store_true", help="emit the JSON report")
 
 

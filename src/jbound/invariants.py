@@ -94,6 +94,21 @@ class Verdict(str, enum.Enum):
     INAPPLICABLE = "Inapplicable"       # neither curve has 3 cusps
 
 
+class InapplicableError(RuntimeError):
+    """Neither bound route applies; carries both cusp counts for diagnosis.
+
+    ``bounds.bound_auto`` raises it, and ``bounds`` re-exports it; it lives
+    next to ``Verdict`` so a caller can catch it without loading mpmath."""
+
+    def __init__(self, subgroup_cusps: int, tilde_cusps: int):
+        self.subgroup_cusps = subgroup_cusps
+        self.tilde_cusps = tilde_cusps
+        super().__init__(
+            "no bound route applies: the subgroup's curve has "
+            f"{subgroup_cusps} cusp(s) and its elliptic-stabilizer subgroup's "
+            f"curve has {tilde_cusps} cusp(s); at least three are required")
+
+
 @dataclass(frozen=True)
 class CurveInvariants:
     """Index mu (in the +-1 quotient), cusp count, elliptic counts, genus."""

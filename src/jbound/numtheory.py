@@ -3,7 +3,9 @@
 Everything here is integer arithmetic: factorization by trial division
 (levels stay small enough that nothing fancier is warranted), a primality
 test, Euler phi, the order of SL2 over Z/n, and the two derived level
-quantities used by the bound formulas.
+quantities used by the bound formulas.  It also holds the bound layer's
+default precision, which the CLI states in its help without loading that
+layer; ``fractions`` is imported only when ``b_of`` runs.
 
 Place primes and ``tables --primes-only`` levels are not capped, so
 ``is_prime`` does not factor: it runs the strong (Miller-Rabin) test to the
@@ -16,8 +18,13 @@ factor up to 41, is refused with a ``ValueError`` rather than declared prime.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+DEFAULT_PREC = 128  # mantissa bits of a bound evaluation, unless a job asks otherwise
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -145,4 +152,5 @@ def m_of(n: int) -> int | None:
 
 def b_of(n: int) -> Fraction:
     """Exact rational d_n(n-6)/(12n) + 2 (one more than the level-n curve genus)."""
+    from fractions import Fraction
     return Fraction(d_n(n) * (n - 6), 12 * n) + 2

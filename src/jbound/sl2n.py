@@ -136,10 +136,13 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
     already in the set is skipped; a new one multiplies the keys found so far,
     and each key that appears meets every kept generator, breadth-first.  So
     each element meets each kept generator once, and ``generators`` is the
-    kept subsequence (in a finite group, inverses are powers).  All of
-    SL2(Z/n) is stored with no keys.
+    kept subsequence (in a finite group, inverses are powers).  Once the set
+    passes half of |SL2(Z/n)|, the subgroup it lies in is, by Lagrange, all of
+    SL2(Z/n): the closure stops there and stores no keys.  Later generators
+    are still validated, and skipped, as a full run would skip them.
     """
     _admit_level(n)
+    half = group_order(n) // 2
     n2 = n * n
     ident = n2 * n + 1
     seen = {ident}
@@ -149,7 +152,7 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
         m = Mat.make(*m)
         if m.n != n:
             raise ValueError(f"generator at wrong level: {m!r}")
-        if _key(m) in seen:
+        if len(seen) > half or _key(m) in seen:
             continue
         kept.append(m)
         new, mark = kept[-1:], len(queue)  # the keys before mark met the others
@@ -163,8 +166,13 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+                    if len(seen) > half:
+                        break
+            else:
+                continue
+            break  # <kept> holds over half of SL2(Z/n): by Lagrange, all of it
     del queue  # it holds every key again; free it before the set is copied
-    return SubgroupImage(n, None if len(seen) == group_order(n) else frozenset(seen), tuple(kept))
+    return SubgroupImage(n, None if len(seen) > half else frozenset(seen), tuple(kept))
 
 
 def _entries(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:

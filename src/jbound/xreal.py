@@ -55,7 +55,8 @@ from mpmath.libmp import (
     to_str,
 )
 
-DEFAULT_PREC = 128
+from .numtheory import DEFAULT_PREC
+
 _GUARD_BITS = 32
 _PAD_SHIFT = 4  # pad = 2**_PAD_SHIFT = 16 ulps at working precision
 _DIGITS = 7  # significant digits of a printed decimal

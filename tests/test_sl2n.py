@@ -7,6 +7,7 @@ import pytest
 
 import reference as R
 from jbound import sl2n
+from jbound.invariants import SubgroupKind, standard_subgroup
 from jbound.numtheory import sl2_order
 from jbound.sl2n import (
     CapExceeded,
@@ -127,6 +128,35 @@ def test_closure_skips_generators_already_generated():
                       Mat(5, *R._mul(t[1:], s[1:], 5)), Mat(5, *R._inv(t[1:], 5))])
     assert sub.generators == (s, t)
     assert sub.order == group_order(5)
+
+
+def test_closure_that_reaches_sl2_keeps_the_generators_of_a_full_run():
+    # past half of |SL2(Z/n)| the closure stops; a generator is kept exactly
+    # when it lies outside the reference closure of those kept before it, and
+    # the image is the keyless family image
+    rng = random.Random(1913)
+    reached = 0
+    for n in range(2, 17):
+        elems = sorted(R.sl2_elements(n))
+        t, s = (1, 1, 0, 1), (0, n - 1, 1, 0)
+        for gens in ([t, s], [s, t, R._mul(t, s, n), t], *(
+                rng.sample(elems, 2) + [t, s] + rng.sample(elems, 2) for _ in range(4))):
+            kept = []
+            for g in gens:
+                if g not in R.ref_closure(n, kept):
+                    kept.append(g)
+            sub = closure(n, [Mat(n, *g) for g in gens])
+            assert sub.keys is None and sub.order == group_order(n), (n, gens)
+            assert [g[1:] for g in sub.generators] == kept, (n, gens)
+            assert sub == standard_subgroup(SubgroupKind.FULL, n)
+            reached += 1
+    assert reached == 15 * 6
+    # the later generators are still read and validated
+    with pytest.raises(ValueError):
+        closure(5, [Mat(5, 1, 1, 0, 1), Mat(5, 0, 4, 1, 0), Mat(5, 0, 3, 2, 1)])
+    # an image of exactly half the group keeps its keys: A3 in SL2(Z/2) = S3
+    half = closure(2, [Mat(2, 0, 1, 1, 1)])
+    assert half.order == 3 and half.keys is not None
 
 
 def test_closure_admits_the_level_before_reading_a_generator(monkeypatch):
