@@ -24,7 +24,6 @@ from .invariants import (
     Verdict,
     applicability,
     curve_invariants,
-    cusp_count,
     elliptic_counts,
     forces_three_cusps,
     psl_index,
@@ -49,7 +48,6 @@ from .sl2n import (
     SubgroupImage,
     closure,
     enumerate_group,
-    group_order,
     pm_elements,
 )
 
@@ -77,10 +75,9 @@ __all__ = [
     "InapplicableError", "Mat", "NumberFieldSpec", "Rounding", "SSetSpec",
     "SubgroupImage", "SubgroupKind", "Theorem", "Verdict", "XReal",
     "applicability", "b_of", "bound_auto", "bound_main", "bound_main1",
-    "closure", "curve_invariants", "cusp_count", "d_n", "delta1_ln",
-    "elliptic_counts", "enumerate_group", "euler_phi",
-    "forces_three_cusps", "group_order", "h_s", "is_prime", "lambda_ln",
-    "ln_delta", "ln_delta0", "ln_dstar", "m_of", "p_max", "pm_elements",
-    "prime_factors", "psl_index", "sl2_order", "standard_subgroup",
-    "tilde_subgroup", "verify_unramified",
+    "closure", "curve_invariants", "d_n", "delta1_ln", "elliptic_counts",
+    "enumerate_group", "euler_phi", "forces_three_cusps", "h_s", "is_prime",
+    "lambda_ln", "ln_delta", "ln_delta0", "ln_dstar", "m_of", "p_max",
+    "pm_elements", "prime_factors", "psl_index", "sl2_order",
+    "standard_subgroup", "tilde_subgroup", "verify_unramified",
 ]

@@ -17,13 +17,14 @@ and nu3 likewise with t.  The genus follows from the exact integer identity
 <H, -I>, and all counts are taken there.
 
 All three counts come from one scan of keys, taken one prime power at a time
-when H splits.  SL2(Z/N) is the product of the SL2(Z/q) over the prime powers
-q || N, and H lies in the product of its images H_q mod q; it equals that
-product exactly when |H| = prod |H_q|.  A family carries its H_q, the same
-family at q; any other image closes its generators mod q.  Then fixed
-vectors and conjugacy classes factor too, and one scan of a factor F's keys
-x gives A_F, the vectors fixed by each x summed over F, and B_F, those fixed
-by each -x, with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
+when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
+is the product of the SL2(Z/q) over the prime powers q || N, and H lies in
+the product of its images H_q mod q; it equals that product exactly when
+|H| = prod |H_q|.  A family carries its H_q, the same family at q; any
+other image closes its generators mod q.  Then fixed vectors and conjugacy
+classes factor too, and one scan of a factor F's keys x gives A_F, the
+vectors fixed by each x summed over F, and B_F, those fixed by each -x,
+with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 
     nuInf = (prod A_F + prod B_F) / (2 |H|),
     nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
@@ -56,12 +57,12 @@ definitions and checked against their exact orders.  The generators are T
 for Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept,
 picked in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability
 reads the invariants of H and of its tilde once, through the cached
-curve_invariants, and returns both, so callers never count cusps themselves;
-each of the four invariant caches keeps its 64 most recent entries, and the
-factor lists and the factors' local counts keep their 4 most recent.  A
-cached family image holds its factors.  Every level is admitted by
-sl2n._admit_level, which refuses one whose |SL2(Z/N)| exceeds
-sl2n.ENUMERATION_CAP, as it reads at that call, before any key is made.
+curve_invariants, and returns both, so callers never count cusps themselves.
+Each of the four caches keeps its 64 most recent entries, and no other
+place holds an image.  A cached family image holds its factors.  Every
+level is admitted by sl2n._admit_level, which refuses one below 2 or whose
+|SL2(Z/N)| exceeds sl2n.ENUMERATION_CAP, as it reads at that call, before
+any key is made.
 """
 
 from __future__ import annotations
@@ -73,12 +74,10 @@ from itertools import chain
 from math import gcd, prod
 from typing import Iterable, Iterator
 
-from .numtheory import euler_phi, prime_factors
-from .sl2n import (Mat, SubgroupImage, _admit_level, _entries, closure, group_order,
-                   pm_elements)
+from .numtheory import euler_phi, prime_factors, sl2_order
+from .sl2n import Mat, SubgroupImage, _admit_level, _entries, closure, pm_elements
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
-_LOCAL_CACHE_SIZE = 4  # cusp and elliptic counts of one image share its factors
 
 
 class SubgroupKind(str, enum.Enum):
@@ -192,7 +191,6 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
 def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
     """The images H_q of H mod each prime power q || N when H is their
     direct product, which holds exactly when |H| = prod |H_q|; else (H,).
@@ -266,7 +264,6 @@ def _trace_hits(n: int, keys: Iterable[int],
     return _entries(n, [k for k in keys if (k // n3 + k) % n in hot])
 
 
-@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
 def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
     """Three (inside, negated) pairs from one scan of F's keys x: the
     vectors fixed by x and by -x, summed over F; |Cl(s) & F| and
@@ -276,7 +273,7 @@ def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
     SL2(Z/n), one orbit, gives |G| fixed vectors and meets each class in
     |G| / |C| keys."""
     n, signed = F.level, not F.contains_minus_i
-    if F.order == group_order(n):
+    if F.order == sl2_order(n):
         return ((F.order,) * 2, *((F.order // _centralizer_order(n, k),) * 2 for k in range(2)))
     qs = _prime_powers(n)
     inside, negated = [0, 0, 0], [0, 0, 0]
@@ -290,49 +287,38 @@ def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
     return tuple(zip(inside, negated if signed else inside))  # -F = F when -I is in F
 
 
-def _combine(H: SubgroupImage, j: int, scale: int) -> int:
-    """scale (prod x_F + prod y_F) / (2 |H|) over the factors F of H, with
-    (x_F, y_F) the j-th pair of F's local counts."""
-    inside = negated = 1
+def _counts(H: SubgroupImage) -> tuple[int, int, int]:
+    """nuInf, nu2 and nu3 of H from one scan of each factor F of H.
+
+    By Burnside the cusps, the orbits of <H, -I> on column vectors (a; c)
+    with gcd(a, c, N) = 1, number the vectors fixed by each element of
+    <H, -I>, summed and divided by |<H, -I>|.  The g in SL2(Z/N) with
+    g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|, and dividing by
+    |<H, -I>| counts the elliptic cosets over j=1728; likewise t over j=0.
+    Fixed vectors and classes factor like H, so each count is
+    scale (prod x_F + prod y_F) / (2 |H|), with (x_F, y_F) one pair of F's
+    local counts and scale 1, |C(s)| or |C(t)|, whether or not H holds -I
+    (when it does, x_F = y_F and <H, -I> = H)."""
+    n = H.level
+    inside, negated = [1, 1, 1], [1, 1, 1]
     for F in _factors(H):
-        x, y = _local_counts(F)[j]
-        inside, negated = inside * x, negated * y
-    count, rem = divmod(scale * (inside + negated), 2 * H.order)
-    if rem:
-        raise AssertionError("internal: a count of H is not an integer")
-    return count
-
-
-def cusp_count(H: SubgroupImage) -> int:
-    """Orbits of <H, -I> on column vectors (a; c) with gcd(a, c, N) = 1.
-
-    By Burnside they number the vectors fixed by each element of <H, -I>,
-    summed and divided by |<H, -I>|.  Fixed vectors factor like H, so with
-    A_F the vectors fixed by each x in the factor F, summed over F, and B_F
-    those fixed by each -x, there are (prod A_F + prod B_F) / (2 |H|) orbits,
-    whether or not H holds -I (when it does, A_F = B_F and <H, -I> = H)."""
-    return _combine(H, 0, 1)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def elliptic_counts(H: SubgroupImage) -> EllipticData:
-    """Elliptic counts from the classes Cl(s), Cl(t) of s and t.
-
-    The g in SL2(Z/N) with g s g^-1 in <H, -I> number |C(s)| |Cl(s) & <H, -I>|,
-    where |C(s)| is the centralizer order; dividing by |<H, -I>| counts the
-    elliptic cosets over j=1728.  Likewise t over j=0.  Classes factor like
-    H: over the factors F, x = |Cl(s) & H| is prod |Cl(s_F) & F| and
-    y = |Cl(s) & -H| is prod |Cl(s_F) & -F|, and
-    nu2 = |C(s)| (x + y) / (2 |H|) whether or not H holds -I (when it does,
-    x = y and <H, -I> = H)."""
-    return EllipticData(*(_combine(H, k + 1, _centralizer_order(H.level, k))
-                          for k in range(2)))
+        for j, (x, y) in enumerate(_local_counts(F)):
+            inside[j] *= x
+            negated[j] *= y
+    counts = []
+    for scale, x, y in zip((1, _centralizer_order(n, 0), _centralizer_order(n, 1)),
+                           inside, negated):
+        count, rem = divmod(scale * (x + y), 2 * H.order)
+        if rem:
+            raise AssertionError("internal: a count of H is not an integer")
+        counts.append(count)
+    return tuple(counts)
 
 
 def psl_index(H: SubgroupImage) -> int:
     """mu: the index of the +-1 image of H in the +-1 quotient of SL2(Z/N)."""
     pm_order = H.order if H.contains_minus_i else 2 * H.order
-    mu, rem = divmod(group_order(H.level), pm_order)
+    mu, rem = divmod(sl2_order(H.level), pm_order)
     if rem:
         raise AssertionError("internal: subgroup order does not divide the group order")
     return mu
@@ -341,12 +327,18 @@ def psl_index(H: SubgroupImage) -> int:
 @lru_cache(maxsize=_CACHE_SIZE)
 def curve_invariants(H: SubgroupImage) -> CurveInvariants:
     mu = psl_index(H)
-    nu_inf = cusp_count(H)
-    ell = elliptic_counts(H)
-    g12, rem = divmod(12 + mu - 3 * ell.nu2 - 4 * ell.nu3 - 6 * nu_inf, 12)
+    nu_inf, nu2, nu3 = _counts(H)
+    g12, rem = divmod(12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12)
     if rem:
         raise AssertionError("internal: genus formula did not give an integer")
-    return CurveInvariants(mu, nu_inf, ell.nu2, ell.nu3, g12)
+    return CurveInvariants(mu, nu_inf, nu2, nu3, g12)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def elliptic_counts(H: SubgroupImage) -> EllipticData:
+    """The elliptic counts of curve_invariants(H), over j=1728 and j=0."""
+    inv = curve_invariants(H)
+    return EllipticData(inv.nu2, inv.nu3)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -361,7 +353,7 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     n = H.level
     if elliptic_counts(H) == EllipticData(0, 0):
         return H if H.order == 1 else closure(n, [])
-    if H.order == group_order(n):
+    if H.order == sl2_order(n):
         return H
     elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _trace_hits(n, H.elements, (0, -1))
                    if _is_elliptic(n, 0, a, b, c, d) or _is_elliptic(n, 1, a, b, c, d))
@@ -376,7 +368,7 @@ def forces_three_cusps(G: SubgroupImage) -> bool:
     of G to have at least three cusps (each +-G orbit has at most 2|G| of the
     N^2 prod (1 - q^-2) unimodular vectors).  That count is |SL2(Z/N)| / N, so
     the test is 4 |G| N < |SL2(Z/N)|."""
-    return 4 * G.order * G.level < group_order(G.level)
+    return 4 * G.order * G.level < sl2_order(G.level)
 
 
 def applicability(H: SubgroupImage) -> Applicability:

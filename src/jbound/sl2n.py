@@ -49,13 +49,6 @@ class Mat(NamedTuple):
         return Mat(n, a, b, c, d)
 
 
-def group_order(n: int) -> int:
-    """|SL2(Z/n)| as an exact integer."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    return sl2_order(n)
-
-
 def _group_keys(n: int) -> Iterator[int]:
     """Every key of SL2(Z/n), in a fixed deterministic order."""
     for a in range(n):
@@ -72,8 +65,10 @@ def _group_keys(n: int) -> Iterator[int]:
 
 
 def _admit_level(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"level must be >= 2, got {n}")
     # |SL2(Z/n)| > (6/pi^2) n^3 > n^3 / 2, so n^3 > 2 cap refuses n before factoring it
-    if n ** 3 > 2 * ENUMERATION_CAP or group_order(n) > ENUMERATION_CAP:
+    if n ** 3 > 2 * ENUMERATION_CAP or sl2_order(n) > ENUMERATION_CAP:
         raise CapExceeded(f"|SL2(Z/{n})| exceeds the cap {ENUMERATION_CAP}")
 
 
@@ -121,7 +116,7 @@ class SubgroupImage:
 
     @property
     def order(self) -> int:
-        return group_order(self.level) if self.keys is None else len(self.keys)
+        return sl2_order(self.level) if self.keys is None else len(self.keys)
 
     @property
     def contains_minus_i(self) -> bool:
@@ -142,7 +137,7 @@ def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:
     are still validated, and skipped, as a full run would skip them.
     """
     _admit_level(n)
-    half = group_order(n) // 2
+    half = sl2_order(n) // 2
     n2 = n * n
     ident = n2 * n + 1
     seen = {ident}

@@ -23,6 +23,7 @@ from jbound.cli import (
     report_from_json,
     report_to_json,
 )
+from jbound.numtheory import sl2_order
 from test_acceptance import grid_points
 
 
@@ -107,7 +108,7 @@ def test_oversized_level_is_refused_before_any_sweep(monkeypatch, capsys, argv):
     of the level starts: the S, T closure at level 300 would build 10^7
     matrices, and 2^127 - 1 is a prime that trial division never factors."""
     counted = []
-    monkeypatch.setattr(invariants, "cusp_count", counted.append)
+    monkeypatch.setattr(invariants, "_counts", counted.append)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CAP_EXCEEDED
     assert out == "" and "exceeds the cap" in err
@@ -124,7 +125,7 @@ def test_over_cap_table_range_is_refused_before_any_row(monkeypatch, capsys, ref
     range is refused before row 2 is computed: the rows below 221 used to
     take 26.5 s for gamma0 before the table ended with exit 4 anyway."""
     counted = []
-    monkeypatch.setattr(invariants, "cusp_count", counted.append)
+    monkeypatch.setattr(invariants, "_counts", counted.append)
     monkeypatch.setattr(cli, "standard_subgroup", counted.append)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -436,16 +437,17 @@ def test_json_decimals_are_on_the_payload_side_on_the_acceptance_grid(capsys):
     ("gamma1", 13, lambda: render_tables("gamma1", 13, 13, False)),
 ])
 def test_job_counts_each_images_cusps_once(monkeypatch, capsys, kind, n, job):
-    """A job counts the cusps of H and of its tilde once each, and an
-    identical second job reads every invariant from the caches."""
+    """A job counts the cusps and elliptic points of H and of its tilde in
+    one scan each, and an identical second job reads every invariant from
+    the caches."""
     counted = []
-    cusp_count = invariants.cusp_count
+    counts = invariants._counts
 
-    def counting(H, *args):
+    def counting(H):
         counted.append(H)
-        return cusp_count(H, *args)
+        return counts(H)
 
-    monkeypatch.setattr(invariants, "cusp_count", counting)
+    monkeypatch.setattr(invariants, "_counts", counting)
     for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
                    invariants.curve_invariants, invariants.tilde_subgroup):
         cached.cache_clear()
@@ -486,7 +488,7 @@ def test_full_level_job_never_closes_sl2(monkeypatch, capsys):
 
     def counting(n, gens, *args):
         sub = closure(n, gens, *args)
-        if sub.order == sl2n.group_order(n):
+        if sub.order == sl2_order(n):
             full_closures.append(sub)
         return sub
 
@@ -516,7 +518,7 @@ def test_full_group_is_never_written_down(monkeypatch):
     proc = run_limited(1024, "tables", "--family", "full", "--from", "2", "--to", "220")
     assert proc.returncode == EXIT_OK, proc.stderr
     rows = [row.split() for row in proc.stdout.splitlines()[1:]]
-    assert rows == [["full", str(n), "1", "1", "1", "1", "0", str(sl2n.group_order(n)),
+    assert rows == [["full", str(n), "1", "1", "1", "1", "0", str(sl2_order(n)),
                      "1", "Inapplicable"] for n in range(2, 221)]
 
     def refuse(n):
@@ -524,15 +526,14 @@ def test_full_group_is_never_written_down(monkeypatch):
 
     monkeypatch.setattr(sl2n, "_group_keys", refuse)
     for cached in (invariants.standard_subgroup, invariants.elliptic_counts,
-                   invariants.curve_invariants, invariants.tilde_subgroup,
-                   invariants._factors, invariants._local_counts):
+                   invariants.curve_invariants, invariants.tilde_subgroup):
         cached.cache_clear()
     for n in range(2, 221):
         app = invariants.applicability(invariants.standard_subgroup("full", n))
         assert app.verdict is invariants.Verdict.INAPPLICABLE, n
         assert app.invariants == app.tilde_invariants == invariants.CurveInvariants(
             1, 1, 1, 1, 0), n
-        assert app.tilde_image.order == sl2n.group_order(n), n
+        assert app.tilde_image.order == sl2_order(n), n
 
 
 def test_out_of_memory_is_a_request_too_large():

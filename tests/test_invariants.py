@@ -2,7 +2,9 @@
 subgroup, and route applicability — checked against classical tables and a
 brute-force recomputation at small levels."""
 
+import gc
 import random
+import weakref
 from math import gcd, prod
 
 import pytest
@@ -16,7 +18,6 @@ from jbound.invariants import (
     Verdict,
     applicability,
     curve_invariants,
-    cusp_count,
     elliptic_counts,
     forces_three_cusps,
     psl_index,
@@ -24,13 +25,12 @@ from jbound.invariants import (
     tilde_subgroup,
     verify_unramified,
 )
-from jbound.numtheory import d_n, is_prime, prime_factors
+from jbound.numtheory import d_n, is_prime, prime_factors, sl2_order
 from jbound.sl2n import (
     CapExceeded,
     Mat,
     closure,
     enumerate_group,
-    group_order,
 )
 
 
@@ -128,15 +128,15 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
 # ---- cusp counts ----
 
 def test_cusp_count_examples():
-    assert cusp_count(closure(5, [])) == 12
-    assert cusp_count(standard_subgroup(SubgroupKind.GAMMA0, 11)) == 2
+    assert curve_invariants(closure(5, [])).nu_inf == 12
+    assert curve_invariants(standard_subgroup(SubgroupKind.GAMMA0, 11)).nu_inf == 2
     for n in (2, 3, 5, 8, 12):
-        assert cusp_count(standard_subgroup(SubgroupKind.FULL, n)) == 1
+        assert curve_invariants(standard_subgroup(SubgroupKind.FULL, n)).nu_inf == 1
 
 
 def test_cusp_count_cap():
     with pytest.raises(CapExceeded):
-        cusp_count(closure(9973, []))
+        curve_invariants(closure(9973, []))
 
 
 def test_cusp_count_matches_the_orbit_search():
@@ -146,7 +146,8 @@ def test_cusp_count_matches_the_orbit_search():
     # generators in the tilde cache for later tests
     images += [tilde_subgroup.__wrapped__(h) for h in images]
     for h in dict.fromkeys(images):  # a tilde is often its image
-        assert cusp_count(h) == R.ref_cusp_count(h.level, R.unpacked(h.level, h.elements)), h
+        ref = R.ref_cusp_count(h.level, R.unpacked(h.level, h.elements))
+        assert curve_invariants(h).nu_inf == ref, h
 
 
 def test_fixed_vectors_match_brute_counting():
@@ -273,7 +274,6 @@ def test_invariants_stable_under_adjoining_minus_i():
 
 
 CACHED = (standard_subgroup, elliptic_counts, curve_invariants, tilde_subgroup)
-ALL_CACHES = CACHED + (invariants._factors, invariants._local_counts)
 
 
 def test_invariant_caches_are_bounded_and_recompute_after_eviction():
@@ -293,6 +293,26 @@ def test_invariant_caches_are_bounded_and_recompute_after_eviction():
     assert after == before
     assert applicability(h2).tilde_image == before[2]
 
+
+
+def test_no_image_outlives_the_public_caches():
+    """Once the four public caches are cleared, nothing holds an image that
+    applicability counted: here a --gens image at 60 that splits, and its
+    tilde, the trivial image."""
+    n = 60
+
+    def counted():
+        h = closure(n, [Mat.make(n, 1, 1, 0, 1), Mat.make(n, 1, 0, 12, 1),
+                        Mat.make(n, 7, 0, 0, 43)])
+        tilde = applicability(h).tilde_image
+        assert tilde != h and [f.order for f in invariants._factors(h)] == [8, 3, 120]
+        return weakref.ref(h), weakref.ref(tilde)
+
+    refs = counted()
+    for cached in CACHED:
+        cached.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 # ---- brute-force recomputation at small levels ----
 
@@ -372,7 +392,7 @@ def test_tilde_examples():
 
     for n in (3, 5, 7):
         tf = tilde_subgroup(standard_subgroup(SubgroupKind.FULL, n))
-        assert tf.order == group_order(n)
+        assert tf.order == sl2_order(n)
 
 
 def test_tilde_equal_to_h_is_h():
@@ -555,7 +575,7 @@ def test_membership_test_and_centralizer_order_match_the_conjugates(n):
         assert {x for x in elems if is_elliptic(n, k, *x)} == cls, (n, k)
         assert {R._neg((a, b, c, d), n) for a, b, c, d in elems
                 if is_elliptic(n, k, -a, -b, -c, -d)} == cls, (n, k)
-        assert invariants._centralizer_order(n, k) * len(cls) == group_order(n), (n, k)
+        assert invariants._centralizer_order(n, k) * len(cls) == sl2_order(n), (n, k)
 
 
 # ---- counts one prime power at a time ----
@@ -572,11 +592,11 @@ def prime_powers(n):
 
 
 def one_factor_counts(h, monkeypatch):
-    """cusp_count and elliptic_counts of h with its factor list forced to
+    """The cusp and elliptic counts of h with its factor list forced to
     [h]: the computation at the full level N."""
     with monkeypatch.context() as m:
         m.setattr(invariants, "_factors", lambda h: (h,))
-        return cusp_count(h), elliptic_counts.__wrapped__(h)
+        return invariants._counts(h)
 
 
 def split_factors(h):
@@ -603,7 +623,8 @@ def test_local_counts_equal_one_factor_counts(monkeypatch):
         if len(split_factors(h)) == 1:
             continue
         split += 1
-        assert (cusp_count(h), elliptic_counts(h)) == one_factor_counts(h, monkeypatch), h
+        inv = curve_invariants(h)
+        assert (inv.nu_inf, inv.nu2, inv.nu3) == one_factor_counts(h, monkeypatch), h
     # every family image at a level with two or more primes splits
     mixed = [len(prime_powers(n)) > 1 for n in range(2, 61)]
     assert split >= 3 * sum(mixed) + sum(mixed[:39])
@@ -680,7 +701,7 @@ def test_trace_filter_matches_unfiltered_scans(monkeypatch):
     of every key counts, and the tilde closes the same element list."""
     images = trace_filter_corpus()
     factors = dict.fromkeys(F for h in images for F in invariants._factors(h)
-                            if F.order < group_order(F.level))  # all of SL2 is a formula
+                            if F.order < sl2_order(F.level))  # all of SL2 is a formula
     for F in factors:
         assert invariants._local_counts(F) == unfiltered_local_counts(F), F
     closed, close = [], invariants.closure
@@ -693,7 +714,7 @@ def test_trace_filter_matches_unfiltered_scans(monkeypatch):
     monkeypatch.setattr(invariants, "closure", recording)
     scanned = 0
     for h in images:
-        elems = unfiltered_tilde_elements(h) if h.order < group_order(h.level) else []
+        elems = unfiltered_tilde_elements(h) if h.order < sl2_order(h.level) else []
         if not elems:
             continue  # no scan: the tilde is H, or the trivial image
         closed.clear()
@@ -720,7 +741,7 @@ def test_family_factors_are_the_families_mod_q():
     key by key, and is the cached family image at level q.  Gamma(N) is the
     trivial closure and carries no factors: it equals the elliptic-free
     tilde, and the two must not differ in the closures they cost."""
-    for cached in ALL_CACHES:
+    for cached in CACHED:
         cached.cache_clear()
     for kind in SubgroupKind:
         for n in range(2, 41 if kind is SubgroupKind.FULL else 61):
@@ -748,7 +769,7 @@ def closures_counted(images, monkeypatch):
     """Calls to closure while applicability runs over the (kind, n) images
     in the given order, from empty caches."""
     calls, close = [], invariants.closure
-    for cached in ALL_CACHES:
+    for cached in CACHED:
         cached.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(invariants, "closure", lambda n, gens: calls.append(n) or close(n, gens))
@@ -783,7 +804,7 @@ def test_elliptic_free_image_never_builds_its_levels_classes(monkeypatch, kind, 
         return is_elliptic(level, *args)
 
     monkeypatch.setattr(invariants, "_is_elliptic", recording)
-    for cached in ALL_CACHES:
+    for cached in CACHED:
         cached.cache_clear()
     h = standard_subgroup(kind, n)
     a = applicability(h)

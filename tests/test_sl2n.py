@@ -14,7 +14,6 @@ from jbound.sl2n import (
     Mat,
     closure,
     enumerate_group,
-    group_order,
     pm_elements,
 )
 
@@ -47,12 +46,20 @@ def test_mat_make_validates_determinant_and_reduces():
 
 
 def test_group_orders_match_formula():
-    assert group_order(2) == 6
-    assert group_order(3) == 24
-    assert group_order(6) == 144
+    assert sl2_order(2) == 6
+    assert sl2_order(3) == 24
+    assert sl2_order(6) == 144
     for n in range(2, 13):
-        assert len(enumerate_group(n)) == group_order(n) == sl2_order(n)
+        assert len(enumerate_group(n)) == sl2_order(n)
 
+
+
+def test_levels_below_two_are_refused():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            closure(n, [])
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            enumerate_group(n)
 
 def test_enumeration_matches_brute_force_filter():
     for n in range(2, 6):
@@ -63,7 +70,7 @@ def test_enumeration_is_deterministic():
     first = list(sl2n._group_keys(7))
     second = list(sl2n._group_keys(7))
     assert first == second
-    assert len(set(first)) == group_order(7)
+    assert len(set(first)) == sl2_order(7)
     assert {Mat(7, *m) for m in sl2n._entries(7, first)} == enumerate_group(7)
 
 
@@ -91,7 +98,7 @@ def test_closure_is_a_subgroup_and_lagrange_holds():
         for _ in range(8):
             gens = rng.sample(elems, rng.randint(1, 3))
             sub = closure(n, gens)
-            assert group_order(n) % sub.order == 0
+            assert sl2_order(n) % sub.order == 0
             mats = R.unpacked(n, sub.elements)
             for x in mats:
                 assert R._inv(x, n) in mats
@@ -127,7 +134,7 @@ def test_closure_skips_generators_already_generated():
     sub = closure(5, [s, Mat(5, *R._mul(s[1:], s[1:], 5)), t,
                       Mat(5, *R._mul(t[1:], s[1:], 5)), Mat(5, *R._inv(t[1:], 5))])
     assert sub.generators == (s, t)
-    assert sub.order == group_order(5)
+    assert sub.order == sl2_order(5)
 
 
 def test_closure_that_reaches_sl2_keeps_the_generators_of_a_full_run():
@@ -146,7 +153,7 @@ def test_closure_that_reaches_sl2_keeps_the_generators_of_a_full_run():
                 if g not in R.ref_closure(n, kept):
                     kept.append(g)
             sub = closure(n, [Mat(n, *g) for g in gens])
-            assert sub.keys is None and sub.order == group_order(n), (n, gens)
+            assert sub.keys is None and sub.order == sl2_order(n), (n, gens)
             assert [g[1:] for g in sub.generators] == kept, (n, gens)
             assert sub == standard_subgroup(SubgroupKind.FULL, n)
             reached += 1
@@ -181,10 +188,10 @@ def test_closure_respects_cap(monkeypatch):
 def test_closure_refuses_the_level_before_work(monkeypatch, n):
     # the closure of T has only n elements; the cap is on |SL2(Z/n)|
     t = Mat(n, 1, 1, 0, 1)
-    monkeypatch.setattr(sl2n, "ENUMERATION_CAP", group_order(n) - 1)
+    monkeypatch.setattr(sl2n, "ENUMERATION_CAP", sl2_order(n) - 1)
     with pytest.raises(CapExceeded):
         closure(n, [t])
-    monkeypatch.setattr(sl2n, "ENUMERATION_CAP", group_order(n))
+    monkeypatch.setattr(sl2n, "ENUMERATION_CAP", sl2_order(n))
     assert closure(n, [t]).order == n
 
 
