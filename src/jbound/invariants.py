@@ -16,13 +16,13 @@ and nu3 likewise with t.  The genus follows from the exact integer identity
 12(g-1) = mu - 3*nu2 - 4*nu3 - 6*nuInf.  The curve only depends on
 <H, -I>, and all counts are taken there.
 
-All three counts come from one scan of keys, taken one prime power at a time
-when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
+All three counts come from one scan of elements, taken one prime power at a
+time when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
 is the product of the SL2(Z/q) over the prime powers q || N, and H lies in
 the product of its images H_q mod q; it equals that product exactly when
 |H| = prod |H_q|.  A family carries its H_q, the same family at q; any
 other image closes its generators mod q.  Then fixed vectors and conjugacy
-classes factor too, and one scan of a factor F's keys x gives A_F, the
+classes factor too, and one scan of a factor F's elements x gives A_F, the
 vectors fixed by each x summed over F, and B_F, those fixed by each -x,
 with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 
@@ -32,12 +32,16 @@ with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 and nu3 likewise with t, whether or not H holds -I.  An image that does not
 split, or a prime-power level, has the one factor H, and the same formulas
 are then the counts at level N.  The classical families always split, and so
-do many tildes and --gens images.  A scan decodes only the keys whose trace,
-read off the packed key, can count: det(x - I) = 2 - tr x vanishes mod each
-q || N when x fixes a unimodular vector, so only tr x = 2 mod N adds to A_F
-(-2 to B_F), and Cl(s) and Cl(t) need tr x = 0 and -1.  As x^2 = -I when
-tr x = 0 and x^3 = -I when tr x = 1 (Cayley-Hamilton), an image without -I
-has no key of either trace, so it meets -Cl(s) and -Cl(t) nowhere.
+do many tildes and --gens images.  A scan visits only the elements whose
+trace can count: det(x - I) = 2 - tr x vanishes mod each q || N when x fixes
+a unimodular vector, so only tr x = 2 mod N adds to A_F (-2 to B_F), and
+Cl(s) and Cl(t) need tr x = 0 and -1.  As x^2 = -I when tr x = 0 and
+x^3 = -I when tr x = 1 (Cayley-Hamilton), an image without -I has no element
+of either trace, so it meets -Cl(s) and -Cl(t) nowhere.  Gamma0 and Gamma1
+list those elements from their definitions: [[u, b], [0, u^-1]] has trace
+u + u^-1 whatever b is, so they are the units u (u = 1 alone for Gamma1)
+with u + u^-1 a wanted trace, each with every b.  Any other image reads the
+trace off each packed key and decodes only the keys that count.
 
 The "tilde" subgroup is the subgroup generated by every elliptic element of
 <H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, which by the above lies in H,
@@ -52,8 +56,9 @@ image, and no key of level N is tested.
 
 Gamma(N) is the trivial closure, with no factors, as it equals the
 elliptic-free tilde.  SL2(Z/N) stores no keys: every count of it is read
-from |SL2(Z/N)|.  Gamma0 and Gamma1 are written down from their
-definitions and checked against their exact orders.  The generators are T
+from |SL2(Z/N)|.  Gamma0 and Gamma1 store no keys either: their orders,
+-I membership and trace hits follow from their definitions, and their
+elements are written down only when read.  The generators are T
 for Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept,
 picked in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability
 reads the invariants of H and of its tilde once, through the cached
@@ -70,12 +75,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import gcd, prod
 from typing import Iterable, Iterator
 
-from .numtheory import euler_phi, prime_factors, sl2_order
-from .sl2n import Mat, SubgroupImage, _admit_level, _entries, closure, pm_elements
+from .numtheory import prime_factors, sl2_order
+from .sl2n import Mat, SubgroupImage, _admit_level, _entries, _units, closure, pm_elements
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 
@@ -145,26 +149,24 @@ class Applicability:
 @lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     """The image of a classical family at level n, with its factors at each
-    q || N when N has two or more primes.  Gamma0 and Gamma1 keys are written
-    down from the family's definition and checked against its exact order;
-    SL2(Z/N) has no keys, and Gamma(N) is closure(n, []).  A level above the
-    cap is refused before n is factored or a key is made."""
+    q || N when N has two or more primes.  Gamma0, Gamma1 and SL2(Z/N) are
+    described, not written down: they hold no keys, and their orders and
+    trace hits follow from their definitions.  Gamma(N) is closure(n, []).
+    A level above the cap is refused before n is factored or a key is made."""
     kind = SubgroupKind(kind)
     if kind is SubgroupKind.PRINCIPAL:
         return closure(n, [])  # no factors: it equals the elliptic-free tilde
     _admit_level(n)  # and a level below 2 is a ValueError
-    n2, n3, t = n * n, n ** 3, Mat(n, 1, 1, 0, 1)
+    t = Mat(n, 1, 1, 0, 1)
     qs = _prime_powers(n)
     factors = tuple(standard_subgroup(kind, q) for _p, q in qs) if len(qs) > 1 else ()
     if kind is SubgroupKind.FULL:
         return SubgroupImage(n, None, (Mat(n, 0, n - 1, 1, 0), t), factors)
-    if kind is SubgroupKind.GAMMA1:  # [[1, b], [0, 1]]
-        gens, keys, order = (t,), range(n3 + 1, 2 * n3, n2), n
-    elif kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
-        units = [(u, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1]
+    gens = [t]  # Gamma1(N): [[1, b], [0, 1]]
+    if kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
         # diag(u, u^-1) enlarges <T, kept> exactly when u enlarges <kept units>
-        gens, sub = [t], {1}
-        for u, v in units:
+        sub = {1}
+        for u, v in _units(n):
             if u not in sub:
                 gens.append(Mat(n, u, 0, 0, v))
                 power, grown = u, set(sub)
@@ -172,12 +174,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
                     grown |= {s * power % n for s in sub}
                     power = power * u % n
                 sub = grown
-        keys = chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units)
-        order = n * euler_phi(n)
-    elements = set(keys)  # a frozenset copied from a set keeps a smaller table
-    if len(elements) != order:
-        raise AssertionError(f"internal: {kind.value} keys give the wrong order")
-    return SubgroupImage(n, frozenset(elements), tuple(gens), factors)
+    return SubgroupImage(n, kind.value, tuple(gens), factors)
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -256,28 +253,34 @@ def _fixed(qs: list[tuple[int, int]], a: int, b: int, c: int, d: int) -> int:
     return out
 
 
-def _trace_hits(n: int, keys: Iterable[int],
-                traces: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(a, b, c, d) for each key at level n whose trace, (key // n^3 + key)
-    mod n, is one of the residues traces mod n."""
-    n3, hot = n ** 3, {t % n for t in traces}
-    return _entries(n, [k for k in keys if (k // n3 + k) % n in hot])
+def _trace_hits(H: SubgroupImage, traces: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, c, d) for each element of H whose trace is one of the residues
+    traces mod N.  A described family lists them: [[u, b], [0, u^-1]] has
+    trace u + u^-1 whatever b is, with u a unit for Gamma0 and u = 1 for
+    Gamma1.  Any other image filters its keys by (key // N^3 + key) mod N."""
+    n = H.level
+    hot = {t % n for t in traces}
+    if isinstance(H.keys, str):
+        units = _units(n) if H.keys == "gamma0" else [(1, 1)]
+        return ((u, b, 0, v) for u, v in units if (u + v) % n in hot for b in range(n))
+    n3 = n ** 3
+    return _entries(n, [k for k in H.elements if (k // n3 + k) % n in hot])
 
 
 def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
-    """Three (inside, negated) pairs from one scan of F's keys x: the
+    """Three (inside, negated) pairs from one scan of F's elements x: the
     vectors fixed by x and by -x, summed over F; |Cl(s) & F| and
-    |Cl(s) & -F|; and likewise t.  Only keys of trace 2, 0 or -1 mod n add
-    to the first of each pair, and only those of trace -2 to the second,
-    since |Cl & -F| = 0 when -I is not in F; only they are decoded.  All of
+    |Cl(s) & -F|; and likewise t.  Only elements of trace 2, 0 or -1 mod n
+    add to the first of each pair, and only those of trace -2 to the second,
+    since |Cl & -F| = 0 when -I is not in F; only they are visited.  All of
     SL2(Z/n), one orbit, gives |G| fixed vectors and meets each class in
-    |G| / |C| keys."""
+    |G| / |C| elements."""
     n, signed = F.level, not F.contains_minus_i
     if F.order == sl2_order(n):
         return ((F.order,) * 2, *((F.order // _centralizer_order(n, k),) * 2 for k in range(2)))
     qs = _prime_powers(n)
     inside, negated = [0, 0, 0], [0, 0, 0]
-    for a, b, c, d in _trace_hits(n, F.elements, (2, 0, -1, -2) if signed else (2, 0, -1)):
+    for a, b, c, d in _trace_hits(F, (2, 0, -1, -2) if signed else (2, 0, -1)):
         if (a + d - 2) % n == 0:
             inside[0] += _fixed(qs, a, b, c, d)
         if signed and (a + d + 2) % n == 0:
@@ -355,7 +358,7 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
         return H if H.order == 1 else closure(n, [])
     if H.order == sl2_order(n):
         return H
-    elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _trace_hits(n, H.elements, (0, -1))
+    elems = sorted(Mat(n, a, b, c, d) for a, b, c, d in _trace_hits(H, (0, -1))
                    if _is_elliptic(n, 0, a, b, c, d) or _is_elliptic(n, 1, a, b, c, d))
     if H.contains_minus_i:
         elems.append(Mat(n, n - 1, 0, 0, n - 1))  # -I

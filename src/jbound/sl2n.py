@@ -1,25 +1,29 @@
 """Enumeration and subgroup closure in SL2(Z/N), on packed keys.
 
-A subgroup's keys are a frozenset of packed keys, or None for all of
-SL2(Z/N): [[a, b], [c, d]] with entries in [0, N) is ((a*N + b)*N + c)*N + d,
-so sorted keys follow sorted ``Mat`` tuples, and the level is stored once, on
+A subgroup's keys are a frozenset of packed keys, None for all of SL2(Z/N),
+or the name of the family "gamma0" or "gamma1" for Gamma0(N) or Gamma1(N):
+[[a, b], [c, d]] with entries in [0, N) is ((a*N + b)*N + c)*N + d, so
+sorted keys follow sorted ``Mat`` tuples, and the level is stored once, on
 the image.  ``Mat`` is validated input only, for generators; products are
-taken on keys inside ``closure``.  Keys are compared by content, so subgroup
-equality never depends on how a subgroup was generated.
-``_group_keys`` writes SL2(Z/N) down when its ``elements`` are read: it walks
-unimodular first columns (a, c) with gcd(a, c, N) = 1 and sweeps the N
-completions of each, which makes the order formula an actual counting
-argument rather than a filter.
+taken on keys inside ``closure``.  Images are compared by content, so
+subgroup equality never depends on how a subgroup was generated or stored.
+A described image is written down only when its ``elements`` are read, and
+kept by no one: ``_group_keys`` walks unimodular first columns (a, c) with
+gcd(a, c, N) = 1 and sweeps the N completions of each, which makes the order
+formula an actual counting argument rather than a filter; ``_family_keys``
+writes [[u, b], [0, u^-1]] over the units u (u = 1 alone for Gamma1) and
+every b, and checks the count against the family's exact order.
 An image other than Gamma0, Gamma1 or SL2 is built by the lazy ``closure``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .numtheory import sl2_order, xgcd
+from .numtheory import euler_phi, sl2_order, xgcd
 
 ENUMERATION_CAP = 10_000_000
 
@@ -64,6 +68,23 @@ def _group_keys(n: int) -> Iterator[int]:
                 d = (d + c) % n
 
 
+def _units(n: int) -> list[tuple[int, int]]:
+    """(u, u^-1) for each unit u of Z/n, in increasing order of u."""
+    return [(u, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1]
+
+
+def _family_keys(H: "SubgroupImage") -> frozenset[int]:
+    """Every key of the described family H, [[u, b], [0, u^-1]] over its
+    diagonal units u and every b, checked against its exact order."""
+    n = H.level
+    n2, n3 = n * n, n ** 3
+    units = _units(n) if H.keys == "gamma0" else [(1, 1)]
+    keys = set(chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units))
+    if len(keys) != H.order:
+        raise AssertionError(f"internal: {H.keys} keys give the wrong order")
+    return frozenset(keys)  # a frozenset copied from a set keeps a smaller table
+
+
 def _admit_level(n: int) -> None:
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
@@ -83,45 +104,79 @@ def _key(m: Mat) -> int:
     return ((m.a * n + m.b) * n + m.c) * n + m.d
 
 
-@dataclass(frozen=True)
+_FAMILIES = ("gamma0", "gamma1")
+
+
+@dataclass(frozen=True, eq=False)
 class SubgroupImage:
-    """A subgroup of SL2(Z/N) by its keys, a frozenset of packed keys, or
-    ``None`` for all of SL2(Z/N), whose ``elements`` are built at each read
-    and never kept.
+    """A subgroup of SL2(Z/N) by its keys: a frozenset of packed keys, or a
+    description that holds none, ``None`` for all of SL2(Z/N) and "gamma0" or
+    "gamma1" for Gamma0(N) or Gamma1(N).  A described image's ``elements``
+    are written down at each read and never kept; its order and -I
+    membership are formulas.
 
     The ``Mat`` values in ``generators`` always generate the subgroup
-    (``closure`` keeps only those); equality and hashing look only at (level,
-    keys), never at the particular generating set, so a closure that reaches
-    SL2(Z/N), stored as ``None`` too, equals the family image.  ``factors``,
-    when set, holds the images mod each prime power q || N, of which the
-    subgroup is the product.
+    (``closure`` keeps only those).  Equality is by content: images at one
+    level with the same keys are equal, two key sets that differ are not, and
+    otherwise the orders and then the element sets are compared, so a
+    closure equals the family image it reaches.  The hash is (level, order).
+    ``factors``, when set, holds the images mod each prime power q || N, of
+    which the subgroup is the product.
     """
 
     level: int
-    keys: frozenset[int] | None
-    generators: tuple = field(compare=False)
-    factors: tuple = field(default=(), compare=False)
+    keys: frozenset[int] | str | None
+    generators: tuple
+    factors: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.keys is not None and self.level ** 3 + 1 not in self.keys:  # the key of I
+        if isinstance(self.keys, str):
+            if self.keys not in _FAMILIES:
+                raise ValueError(f"unknown family {self.keys!r}; expected one of {_FAMILIES}")
+        elif self.keys is not None and self.level ** 3 + 1 not in self.keys:  # the key of I
             raise ValueError("subgroup must contain the identity")
 
     def __repr__(self) -> str:
         return (f"SubgroupImage(level={self.level}, order={self.order}, "
                 f"generators={len(self.generators)}, minus_i={self.contains_minus_i})")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubgroupImage):
+            return NotImplemented
+        if self.level != other.level:
+            return False
+        if self.keys == other.keys:
+            return True
+        if isinstance(self.keys, frozenset) and isinstance(other.keys, frozenset):
+            return False
+        return self.order == other.order and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.order))
+
     @property
     def elements(self) -> frozenset[int]:
-        return frozenset(_group_keys(self.level)) if self.keys is None else self.keys
+        if self.keys is None:
+            return frozenset(_group_keys(self.level))
+        return _family_keys(self) if isinstance(self.keys, str) else self.keys
 
     @property
     def order(self) -> int:
-        return sl2_order(self.level) if self.keys is None else len(self.keys)
+        n = self.level
+        if self.keys is None:
+            return sl2_order(n)
+        if isinstance(self.keys, str):
+            return n * euler_phi(n) if self.keys == "gamma0" else n
+        return len(self.keys)
 
     @property
     def contains_minus_i(self) -> bool:
         n = self.level  # -I packs to (n-1)*n^3 + (n-1)
-        return self.keys is None or (n - 1) * (n ** 3 + 1) in self.keys
+        if self.keys is None or self.keys == "gamma0":
+            return True
+        if self.keys == "gamma1":
+            return n == 2
+        return (n - 1) * (n ** 3 + 1) in self.keys
 
 
 def closure(n: int, gens: Iterable[Mat]) -> SubgroupImage:

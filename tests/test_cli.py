@@ -536,6 +536,29 @@ def test_full_group_is_never_written_down(monkeypatch):
         assert app.tilde_image.order == sl2_order(n), n
 
 
+def test_gamma0_and_gamma1_are_never_written_down(monkeypatch, capsys):
+    """Gamma0(N) and Gamma1(N), 2..220, are tabulated from their definitions:
+    with the caches cleared and the family key writer refusing, both tables
+    still run in process, with the rows of a run that may write keys."""
+    caches = (invariants.standard_subgroup, invariants.elliptic_counts,
+              invariants.curve_invariants, invariants.tilde_subgroup)
+
+    def tables(family):
+        for cached in caches:
+            cached.cache_clear()
+        return run(capsys, "tables", "--family", family, "--from", "2", "--to", "220")
+
+    want = {family: tables(family) for family in ("gamma0", "gamma1")}
+
+    def refuse(H):
+        raise AssertionError(f"the keys of {H.keys}({H.level}) were written down")
+
+    monkeypatch.setattr(sl2n, "_family_keys", refuse)
+    for family, (code, out, err) in want.items():
+        assert (code, err, len(out.splitlines())) == (EXIT_OK, "", 220), family
+        assert tables(family) == (code, out, err), family
+
+
 def test_out_of_memory_is_a_request_too_large():
     """A MemoryError ends in one error line and exit 4, not a traceback.
     Closing SL2(Z/200) from T and S needs several hundred MB; 150 MB are

@@ -125,6 +125,53 @@ def test_families_are_their_definitions_and_their_generators_close_to_them():
             assert H.generators == closure(n, listed[kind]).generators, (kind, n)
 
 
+def test_described_families_equal_their_closures_by_content():
+    """Gamma0(N) and Gamma1(N) hold no keys, yet each equals and hashes like
+    the closure of its generators, which holds them, from either side; their
+    order and -I membership are their written elements'.  An image of the
+    same level and order, hence the same hash, with other elements is
+    unequal: the lower-triangular group against Gamma0(N).  Gamma0(2) is
+    Gamma1(2).  A closure meets the caches that a family image filled."""
+    for n in [*range(2, 41), 64, 81, 121]:
+        for kind in (SubgroupKind.GAMMA0, SubgroupKind.GAMMA1):
+            H = standard_subgroup(kind, n)
+            written = closure(n, H.generators)
+            assert H.keys == kind.value and isinstance(written.keys, frozenset), (kind, n)
+            assert H == written and written == H and hash(H) == hash(written), (kind, n)
+            assert H.order == len(H.elements), (kind, n)
+            minus_i = minus_identity(n)[1:] in R.unpacked(n, H.elements)
+            assert H.contains_minus_i == minus_i, (kind, n)
+        g0 = standard_subgroup(SubgroupKind.GAMMA0, n)
+        lower = closure(n, [Mat(n, m.a, m.c, m.b, m.d) for m in g0.generators])
+        assert lower.order == g0.order and hash(lower) == hash(g0), n
+        assert lower != g0 and g0 != lower, n
+    g0, g1 = standard_subgroup("gamma0", 2), standard_subgroup("gamma1", 2)
+    assert g0.keys != g1.keys and g0 == g1 and hash(g0) == hash(g1)
+    for n in (35, 64):
+        H = standard_subgroup(SubgroupKind.GAMMA0, n)
+        inv, tilde = curve_invariants(H), tilde_subgroup(H)
+        hits = curve_invariants.cache_info().hits, tilde_subgroup.cache_info().hits
+        written = closure(n, H.generators)
+        assert curve_invariants(written) is inv and tilde_subgroup(written) is tilde, n
+        assert (curve_invariants.cache_info().hits, tilde_subgroup.cache_info().hits) == (
+            hits[0] + 1, hits[1] + 1), n
+
+
+def test_listed_trace_hits_equal_the_filtered_keys():
+    """A described family lists its elements of a wanted trace from its
+    units; they are exactly its written keys of those traces, for each trace
+    set that a scan (with or without -I) or the tilde asks for."""
+    for n in [*range(2, 61), 64, 81, 121, 125, 169]:
+        for kind in ("gamma0", "gamma1"):
+            H = standard_subgroup(kind, n)
+            assert isinstance(H.keys, str), (kind, n)
+            written = R.unpacked(n, H.elements)
+            for traces in ((2, 0, -1, -2), (2, 0, -1), (0, -1)):
+                hot = {t % n for t in traces}
+                want = sorted(x for x in written if (x[0] + x[3]) % n in hot)
+                assert sorted(invariants._trace_hits(H, traces)) == want, (kind, n, traces)
+
+
 # ---- cusp counts ----
 
 def test_cusp_count_examples():

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import jbound
 import reference as R
 from jbound import sl2n
 from jbound.invariants import SubgroupKind, standard_subgroup
@@ -12,6 +13,7 @@ from jbound.numtheory import sl2_order
 from jbound.sl2n import (
     CapExceeded,
     Mat,
+    SubgroupImage,
     closure,
     enumerate_group,
     pm_elements,
@@ -239,6 +241,19 @@ def test_subgroup_equality_is_by_level_and_elements():
     assert a == b and hash(a) == hash(b)
     assert a != closure(5, [minus_identity(5)])
     assert closure(5, []) != closure(7, [])
+
+
+def test_subgroup_image_validates_its_keys():
+    """A string names a described family, and only "gamma0" and "gamma1" do;
+    a key set must hold the key of I.  The class is exported."""
+    t = Mat(5, 1, 1, 0, 1)
+    for name in ("gamma2", "gamma", "full", ""):
+        with pytest.raises(ValueError):
+            SubgroupImage(5, name, (t,))
+    with pytest.raises(ValueError):
+        SubgroupImage(5, frozenset({sl2n._key(t)}), (t,))
+    assert SubgroupImage(5, "gamma1", (t,)) == closure(5, [t])
+    assert "SubgroupImage" in jbound.__all__ and jbound.SubgroupImage is SubgroupImage
 
 
 # ---- the packed representation ----
