@@ -18,7 +18,6 @@ import importlib
 from .invariants import (
     Applicability,
     CurveInvariants,
-    EllipticData,
     InapplicableError,
     SubgroupKind,
     Verdict,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Applicability", "BoundReport", "CapExceeded", "CurveInvariants",
-    "DEFAULT_PREC", "ENUMERATION_CAP", "EllipticData", "ExponentOverflow",
+    "DEFAULT_PREC", "ENUMERATION_CAP", "ExponentOverflow",
     "InapplicableError", "Mat", "NumberFieldSpec", "Rounding", "SSetSpec",
     "SubgroupImage", "SubgroupKind", "Theorem", "Verdict", "XReal",
     "applicability", "b_of", "bound_auto", "bound_main", "bound_main1",

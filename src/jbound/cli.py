@@ -199,26 +199,26 @@ def _build_jobspec(args: argparse.Namespace) -> JobSpec:
                            _as_int(item[1], "residue degree")))
         else:
             raise SpecError(f"cannot parse place entry {item!r}")
-    ln_c = values.get("ln_c", 0.0)
-    if isinstance(ln_c, bool):
-        raise SpecError(f"lnC must be a number, got {ln_c!r}")
-    try:
-        ln_c = float(ln_c)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
-        raise SpecError(f"bad lnC: {exc}") from exc
-    if not math.isfinite(ln_c):
-        raise SpecError(f"lnC must be finite, got {ln_c}")
-    spec = JobSpec(
-        level=level,
-        subgroup=str(values.get("subgroup", "gamma0")),
-        gens=values.get("gens"),
-        degree=_as_int(values.get("degree", 1), "degree"),
-        abs_disc=_as_int(values.get("abs_disc", 1), "disc"),
-        inf_places=_as_int(values.get("inf_places", 1), "infPlaces"),
-        places=tuple(places),
-        ln_c=ln_c,
-        precision_bits=_as_int(values.get("precision_bits", DEFAULT_PREC), "precision"),
-    )
+    given = {"level": level, "places": tuple(places)}  # JobSpec supplies the rest
+    if "ln_c" in values:
+        ln_c = values["ln_c"]
+        if isinstance(ln_c, bool):
+            raise SpecError(f"lnC must be a number, got {ln_c!r}")
+        try:
+            given["ln_c"] = ln_c = float(ln_c)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
+            raise SpecError(f"bad lnC: {exc}") from exc
+        if not math.isfinite(ln_c):
+            raise SpecError(f"lnC must be finite, got {ln_c}")
+    for key in ("degree", "disc", "infPlaces", "precision"):
+        dest = _DOC_KEYS[key]
+        if dest in values:
+            given[dest] = _as_int(values[dest], key)
+    if "subgroup" in values:
+        given["subgroup"] = str(values["subgroup"])
+    if "gens" in values:
+        given["gens"] = values["gens"]
+    spec = JobSpec(**given)
     if not 8 <= spec.precision_bits <= MAX_PRECISION:
         raise SpecError(f"precision must be 8..{MAX_PRECISION} bits, "
                         f"got {spec.precision_bits}")

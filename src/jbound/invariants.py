@@ -20,11 +20,12 @@ All three counts come from one scan of elements, taken one prime power at a
 time when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
 is the product of the SL2(Z/q) over the prime powers q || N, and H lies in
 the product of its images H_q mod q; it equals that product exactly when
-|H| = prod |H_q|.  A family carries its H_q, the same family at q; any
-other image closes its generators mod q.  Then fixed vectors and conjugacy
-classes factor too, and one scan of a factor F's elements x gives A_F, the
-vectors fixed by each x summed over F, and B_F, those fixed by each -x,
-with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
+|H| = prod |H_q|.  Every H_q comes from sl2n._reduce_mod: Gamma0, Gamma1
+and SL2 are the same description at q, and any other image closes its
+generators mod q.  Then fixed vectors and conjugacy classes factor too, and
+one scan of a factor F's elements x gives A_F, the vectors fixed by each x
+summed over F, and B_F, those fixed by each -x, with x_F = |Cl(s_F) & F|
+and y_F = |Cl(s_F) & -F|:
 
     nuInf = (prod A_F + prod B_F) / (2 |H|),
     nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
@@ -37,11 +38,9 @@ trace can count: det(x - I) = 2 - tr x vanishes mod each q || N when x fixes
 a unimodular vector, so only tr x = 2 mod N adds to A_F (-2 to B_F), and
 Cl(s) and Cl(t) need tr x = 0 and -1.  As x^2 = -I when tr x = 0 and
 x^3 = -I when tr x = 1 (Cayley-Hamilton), an image without -I has no element
-of either trace, so it meets -Cl(s) and -Cl(t) nowhere.  Gamma0 and Gamma1
-list those elements from their definitions: [[u, b], [0, u^-1]] has trace
-u + u^-1 whatever b is, so they are the units u (u = 1 alone for Gamma1)
-with u + u^-1 a wanted trace, each with every b.  Any other image reads the
-trace off each packed key and decodes only the keys that count.
+of either trace, so it meets -Cl(s) and -Cl(t) nowhere.  sl2n._trace_hits
+yields those elements: Gamma0 and Gamma1 list them from their definitions,
+and any other image decodes only its keys of a wanted trace.
 
 The "tilde" subgroup is the subgroup generated by every elliptic element of
 <H, -I>, that is by (Cl(s) u Cl(t)) & <H, -I>, which by the above lies in H,
@@ -54,20 +53,18 @@ closure of those elements in key order at level N, or H itself when they
 agree or H is SL2(Z/N); when the elliptic counts are zero it is the trivial
 image, and no key of level N is tested.
 
-Gamma(N) is the trivial closure, with no factors, as it equals the
-elliptic-free tilde.  SL2(Z/N) stores no keys: every count of it is read
-from |SL2(Z/N)|.  Gamma0 and Gamma1 store no keys either: their orders,
--I membership and trace hits follow from their definitions, and their
-elements are written down only when read.  The generators are T
-for Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept,
-picked in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability
-reads the invariants of H and of its tilde once, through the cached
+Gamma(N) is the trivial closure.  SL2(Z/N) stores no keys: every count of
+it is read from |SL2(Z/N)|.  Gamma0 and Gamma1 store no keys either: their
+orders, -I membership and trace hits follow from their definitions, and
+their elements are written down only when read.  The generators are T for
+Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept, picked
+in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability reads
+the invariants of H and of its tilde once, through the cached
 curve_invariants, and returns both, so callers never count cusps themselves.
 Each of the four caches keeps its 64 most recent entries, and no other
-place holds an image.  A cached family image holds its factors.  Every
-level is admitted by sl2n._admit_level, which refuses one below 2 or whose
-|SL2(Z/N)| exceeds sl2n.ENUMERATION_CAP, as it reads at that call, before
-any key is made.
+place holds an image.  Every level is admitted by sl2n._admit_level, which
+refuses one below 2 or whose |SL2(Z/N)| exceeds sl2n.ENUMERATION_CAP, as it
+reads at that call, before any key is made.
 """
 
 from __future__ import annotations
@@ -76,10 +73,10 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from typing import Iterable, Iterator
 
 from .numtheory import prime_factors, sl2_order
-from .sl2n import Mat, SubgroupImage, _admit_level, _entries, _units, closure, pm_elements
+from .sl2n import (Mat, SubgroupImage, _admit_level, _reduce_mod, _trace_hits, _units, closure,
+                   pm_elements)
 
 _CACHE_SIZE = 64  # a bound-grid pass meets 47 images; a tables row needs two
 
@@ -130,14 +127,6 @@ class CurveInvariants:
 
 
 @dataclass(frozen=True)
-class EllipticData:
-    """Elliptic point counts over j=1728 and j=0."""
-
-    nu2: int
-    nu3: int
-
-
-@dataclass(frozen=True)
 class Applicability:
     verdict: Verdict
     invariants: CurveInvariants
@@ -148,20 +137,17 @@ class Applicability:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
-    """The image of a classical family at level n, with its factors at each
-    q || N when N has two or more primes.  Gamma0, Gamma1 and SL2(Z/N) are
-    described, not written down: they hold no keys, and their orders and
-    trace hits follow from their definitions.  Gamma(N) is closure(n, []).
-    A level above the cap is refused before n is factored or a key is made."""
+    """The image of a classical family at level n.  Gamma0, Gamma1 and
+    SL2(Z/N) are described, not written down: they hold no keys, and their
+    orders and trace hits follow from their definitions.  Gamma(N) is
+    closure(n, []).  A level above the cap is refused before a key is made."""
     kind = SubgroupKind(kind)
     if kind is SubgroupKind.PRINCIPAL:
-        return closure(n, [])  # no factors: it equals the elliptic-free tilde
+        return closure(n, [])
     _admit_level(n)  # and a level below 2 is a ValueError
     t = Mat(n, 1, 1, 0, 1)
-    qs = _prime_powers(n)
-    factors = tuple(standard_subgroup(kind, q) for _p, q in qs) if len(qs) > 1 else ()
     if kind is SubgroupKind.FULL:
-        return SubgroupImage(n, None, (Mat(n, 0, n - 1, 1, 0), t), factors)
+        return SubgroupImage(n, None, (Mat(n, 0, n - 1, 1, 0), t))
     gens = [t]  # Gamma1(N): [[1, b], [0, 1]]
     if kind is SubgroupKind.GAMMA0:  # [[u, b], [0, u^-1]]
         # diag(u, u^-1) enlarges <T, kept> exactly when u enlarges <kept units>
@@ -174,7 +160,7 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
                     grown |= {s * power % n for s in sub}
                     power = power * u % n
                 sub = grown
-    return SubgroupImage(n, kind.value, tuple(gens), factors)
+    return SubgroupImage(n, kind.value, tuple(gens))
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -191,16 +177,11 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
 def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
     """The images H_q of H mod each prime power q || N when H is their
     direct product, which holds exactly when |H| = prod |H_q|; else (H,).
-    A family image carries them; any other is reduced and closed mod q."""
-    if H.factors:
-        return H.factors
-    n = H.level
-    qs = _prime_powers(n)
+    Each H_q is sl2n._reduce_mod(H, q)."""
+    qs = _prime_powers(H.level)
     if len(qs) == 1:
         return (H,)
-    local = tuple(closure(q, [Mat(q, m.a % q, m.b % q, m.c % q, m.d % q)
-                              for m in H.generators])
-                  for _p, q in qs)
+    local = tuple(_reduce_mod(H, q) for _p, q in qs)
     return local if prod(F.order for F in local) == H.order else (H,)
 
 
@@ -251,20 +232,6 @@ def _fixed(qs: list[tuple[int, int]], a: int, b: int, c: int, d: int) -> int:
         else:
             out *= pf * (q - q // p)
     return out
-
-
-def _trace_hits(H: SubgroupImage, traces: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(a, b, c, d) for each element of H whose trace is one of the residues
-    traces mod N.  A described family lists them: [[u, b], [0, u^-1]] has
-    trace u + u^-1 whatever b is, with u a unit for Gamma0 and u = 1 for
-    Gamma1.  Any other image filters its keys by (key // N^3 + key) mod N."""
-    n = H.level
-    hot = {t % n for t in traces}
-    if isinstance(H.keys, str):
-        units = _units(n) if H.keys == "gamma0" else [(1, 1)]
-        return ((u, b, 0, v) for u, v in units if (u + v) % n in hot for b in range(n))
-    n3 = n ** 3
-    return _entries(n, [k for k in H.elements if (k // n3 + k) % n in hot])
 
 
 def _local_counts(F: SubgroupImage) -> tuple[tuple[int, int], ...]:
@@ -338,10 +305,10 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def elliptic_counts(H: SubgroupImage) -> EllipticData:
-    """The elliptic counts of curve_invariants(H), over j=1728 and j=0."""
-    inv = curve_invariants(H)
-    return EllipticData(inv.nu2, inv.nu3)
+def elliptic_counts(H: SubgroupImage) -> CurveInvariants:
+    """curve_invariants(H), read for its elliptic counts nu2 over j=1728 and
+    nu3 over j=0."""
+    return curve_invariants(H)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -354,7 +321,8 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     Otherwise one closure of them in key order builds it, and it is H itself
     when its order is |H|."""
     n = H.level
-    if elliptic_counts(H) == EllipticData(0, 0):
+    inv = elliptic_counts(H)
+    if inv.nu2 == inv.nu3 == 0:
         return H if H.order == 1 else closure(n, [])
     if H.order == sl2_order(n):
         return H

@@ -88,6 +88,7 @@ def is_prime(n: int) -> bool:
         f"the strong test to the bases 2..41 is exact only below {_MR_EXACT_BELOW}")
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = n
     for q in prime_factors(n):

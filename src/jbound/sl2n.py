@@ -14,6 +14,8 @@ formula an actual counting argument rather than a filter; ``_family_keys``
 writes [[u, b], [0, u^-1]] over the units u (u = 1 alone for Gamma1) and
 every b, and checks the count against the family's exact order.
 An image other than Gamma0, Gamma1 or SL2 is built by the lazy ``closure``.
+Only this module reads how an image is stored: ``_trace_hits`` yields the
+elements of chosen traces and ``_reduce_mod`` the image mod q | N.
 """
 
 from __future__ import annotations
@@ -73,13 +75,18 @@ def _units(n: int) -> list[tuple[int, int]]:
     return [(u, pow(u, -1, n)) for u in range(1, n) if gcd(u, n) == 1]
 
 
+def _diagonal(H: "SubgroupImage") -> list[tuple[int, int]]:
+    """(u, u^-1) for each u on the diagonal of the described family H:
+    every unit for Gamma0, u = 1 alone for Gamma1."""
+    return _units(H.level) if H.keys == "gamma0" else [(1, 1)]
+
+
 def _family_keys(H: "SubgroupImage") -> frozenset[int]:
     """Every key of the described family H, [[u, b], [0, u^-1]] over its
     diagonal units u and every b, checked against its exact order."""
     n = H.level
     n2, n3 = n * n, n ** 3
-    units = _units(n) if H.keys == "gamma0" else [(1, 1)]
-    keys = set(chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in units))
+    keys = set(chain.from_iterable(range(u * n3 + v, (u + 1) * n3, n2) for u, v in _diagonal(H)))
     if len(keys) != H.order:
         raise AssertionError(f"internal: {H.keys} keys give the wrong order")
     return frozenset(keys)  # a frozenset copied from a set keeps a smaller table
@@ -120,14 +127,11 @@ class SubgroupImage:
     level with the same keys are equal, two key sets that differ are not, and
     otherwise the orders and then the element sets are compared, so a
     closure equals the family image it reaches.  The hash is (level, order).
-    ``factors``, when set, holds the images mod each prime power q || N, of
-    which the subgroup is the product.
     """
 
     level: int
     keys: frozenset[int] | str | None
     generators: tuple
-    factors: tuple = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.keys, str):
@@ -231,6 +235,30 @@ def _entries(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int, int]]
     for key in keys:
         ab, cd = divmod(key, n2)
         yield (*divmod(ab, n), *divmod(cd, n))
+
+
+def _trace_hits(H: SubgroupImage, traces: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, c, d) for each element of H whose trace is one of the residues
+    traces mod N.  A described family lists them: [[u, b], [0, u^-1]] has
+    trace u + u^-1 whatever b is.  Any other image filters its keys by
+    (key // N^3 + key) mod N."""
+    n = H.level
+    hot = {t % n for t in traces}
+    if isinstance(H.keys, str):
+        return ((u, b, 0, v) for u, v in _diagonal(H) if (u + v) % n in hot for b in range(n))
+    n3 = n ** 3
+    return _entries(n, [k for k in H.elements if (k // n3 + k) % n in hot])
+
+
+def _reduce_mod(H: SubgroupImage, q: int) -> SubgroupImage:
+    """The image of H mod q, for q | N.  A described image stays the same
+    description at q, as reduction mod q maps SL2(Z/N), Gamma0(N) and
+    Gamma1(N) onto their namesakes at q; any other image is the closure of
+    its generators reduced mod q."""
+    gens = tuple(Mat(q, m.a % q, m.b % q, m.c % q, m.d % q) for m in H.generators)
+    if isinstance(H.keys, frozenset):
+        return closure(q, gens)
+    return SubgroupImage(q, H.keys, gens)
 
 
 def pm_elements(H: SubgroupImage) -> frozenset[int]:

@@ -10,7 +10,7 @@ from math import gcd, prod
 import pytest
 
 import reference as R
-from jbound import invariants
+from jbound import invariants, sl2n
 from jbound.invariants import (
     Applicability,
     CurveInvariants,
@@ -783,43 +783,65 @@ def test_non_split_image_falls_back_to_one_factor():
     assert inv == brute_invariants(h)
 
 
-def test_family_factors_are_the_families_mod_q():
-    """Each factor of a family image is its keys reduced mod q, reduced here
-    key by key, and is the cached family image at level q.  Gamma(N) is the
-    trivial closure and carries no factors: it equals the elliptic-free
-    tilde, and the two must not differ in the closures they cost."""
-    for cached in CACHED:
-        cached.cache_clear()
-    for kind in SubgroupKind:
-        for n in range(2, 41 if kind is SubgroupKind.FULL else 61):
-            if is_prime(n):
-                continue
-            h = standard_subgroup(kind, n)
-            qs = prime_powers(n)
-            factors = invariants._factors(h)
-            assert len(factors) == len(qs), (kind, n)
-            assert len(h.factors) == (len(qs) if len(qs) > 1 and kind != "gamma" else 0)
-            for q, f in zip(qs, factors):
-                reduced = {((a % q * q + b % q) * q + c % q) * q + d % q
-                           for a, b, c, d in R.unpacked(n, h.elements)}
-                assert reduced == f.elements, (kind, n, q)
-                if kind == "gamma":
-                    assert f == standard_subgroup(kind, q) == closure(q, []), (n, q)
-                else:
-                    assert f is standard_subgroup(kind, q), (kind, n, q)
+def reduced_key_by_key(keys, n, q):
+    """The keys at level n reduced mod q, one key at a time: a key is
+    (a N + b) N^2 + (c N + d), and each half reduces through one table."""
+    n2, half = n * n, [a % q * q + b % q for a in range(n) for b in range(n)]
+    return {half[k // n2] * q * q + half[k % n2] for k in keys}
+
+
+def count_closures(m, calls):
+    """Send every closure, called from invariants or from within sl2n,
+    through a wrapper that appends its level to calls."""
+    close = sl2n.closure
+
+    def counted(n, gens):
+        calls.append(n)
+        return close(n, gens)
+
+    m.setattr(invariants, "closure", counted)
+    m.setattr(sl2n, "closure", counted)
+
+
+def test_every_image_mod_q_is_its_keys_reduced(monkeypatch):
+    """sl2n._reduce_mod(h, q) is h's keys reduced mod q, key by key, for
+    each q || N: family images at 2..60 (Gamma(N) among them) and their
+    tildes, the 240 reference random subgroups, and T, S at 120, a closure
+    that reaches SL2(Z/120) and stores no keys.  Gamma0, Gamma1 and SL2
+    reduce to the same description at q without a closure call."""
+    images = [standard_subgroup(kind, n) for kind in SubgroupKind for n in range(2, 61)]
+    images += [tilde_subgroup(h) for h in images]
+    images += random_subgroups(240, 1729)
+    t_s = closure(120, [Mat.make(120, 1, 1, 0, 1), Mat.make(120, 0, -1, 1, 0)])
+    assert t_s.keys is None
+    images.append(t_s)
+    described = 0
+    for h in dict.fromkeys(images):
+        calls = []
+        with monkeypatch.context() as m:
+            count_closures(m, calls)
+            local = [sl2n._reduce_mod(h, q) for q in prime_powers(h.level)]
+        keys = h.elements  # a described image writes them at each read
+        for f in local:
+            assert f.elements == reduced_key_by_key(keys, h.level, f.level), (h, f.level)
+        split = len(local) > 1 and prod(f.order for f in local) == h.order
+        assert invariants._factors(h) == (tuple(local) if split else (h,)), h
+        if not isinstance(h.keys, frozenset):
+            assert calls == [] and all(f.keys == h.keys for f in local), h
+            described += 1
+    assert described == 3 * 59  # Gamma1(2) = Gamma0(2) is met once, then T, S at 120
     for n in range(2, 61):
         assert standard_subgroup("gamma", n) == closure(n, []), n
-        assert standard_subgroup("gamma", n).factors == (), n
 
 
 def closures_counted(images, monkeypatch):
     """Calls to closure while applicability runs over the (kind, n) images
     in the given order, from empty caches."""
-    calls, close = [], invariants.closure
+    calls = []
     for cached in CACHED:
         cached.cache_clear()
     with monkeypatch.context() as m:
-        m.setattr(invariants, "closure", lambda n, gens: calls.append(n) or close(n, gens))
+        count_closures(m, calls)
         for kind, n in images:
             applicability(standard_subgroup(kind, n))
     return len(calls)

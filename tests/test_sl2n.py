@@ -7,7 +7,7 @@ import pytest
 
 import jbound
 import reference as R
-from jbound import sl2n
+from jbound import numtheory, sl2n
 from jbound.invariants import SubgroupKind, standard_subgroup
 from jbound.numtheory import sl2_order
 from jbound.sl2n import (
@@ -254,6 +254,22 @@ def test_subgroup_image_validates_its_keys():
         SubgroupImage(5, frozenset({sl2n._key(t)}), (t,))
     assert SubgroupImage(5, "gamma1", (t,)) == closure(5, [t])
     assert "SubgroupImage" in jbound.__all__ and jbound.SubgroupImage is SubgroupImage
+
+
+def test_gamma0_order_factors_its_level_at_most_once(monkeypatch):
+    """Gamma0(N) reads its order N phi(N), and its hash, at every cache
+    lookup; phi(N) is cached, so N is factored at most once however often."""
+    levels = (12, 60, 97, 120, 211)
+    images = [standard_subgroup("gamma0", n) for n in levels]
+    numtheory.euler_phi.cache_clear()
+    factored = []
+    prime_factors = numtheory.prime_factors
+    monkeypatch.setattr(numtheory, "prime_factors",
+                        lambda n: factored.append(n) or prime_factors(n))
+    for _ in range(50):
+        for n, h in zip(levels, images):
+            assert h.order == n * R.euler_phi(n) and hash(h) == hash((n, h.order))
+    assert all(factored.count(n) <= 1 for n in levels), factored
 
 
 # ---- the packed representation ----
