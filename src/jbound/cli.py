@@ -90,7 +90,6 @@ class Report:
     verdict: str
     sufficient_criterion_holds: bool
     bound: BoundReport | None
-    warnings: tuple
 
 
 def _parse_place(text: str) -> tuple[int, int]:
@@ -251,7 +250,6 @@ def _field_and_sset(spec: JobSpec) -> tuple[NumberFieldSpec, SSetSpec]:
 def build_report(spec: JobSpec, want_bound: bool) -> Report:
     H = _resolve_subgroup(spec)
     app = applicability(H)
-    warnings: list[str] = []
     bound = None
     if want_bound:  # the first use of the bound layer in a process imports it
         from .bounds import bound_auto
@@ -260,7 +258,6 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
         # raises InapplicableError when neither route applies
         bound = bound_auto(app, fieldspec, sset, spec.ln_c,
                            Rounding.UP, spec.precision_bits)
-        warnings.extend(bound.notes)
     return Report(
         schema=SCHEMA_VERSION,
         command="bound" if want_bound else "invariants",
@@ -272,7 +269,6 @@ def build_report(spec: JobSpec, want_bound: bool) -> Report:
         verdict=app.verdict.value,
         sufficient_criterion_holds=app.sufficient_criterion_holds,
         bound=bound,
-        warnings=tuple(warnings),
     )
 
 
@@ -343,7 +339,7 @@ def report_to_json(report: Report) -> str:
         "verdict": report.verdict,
         "sufficientCriterionHolds": report.sufficient_criterion_holds,
         "bound": _bound_to_json(report.bound) if report.bound else None,
-        "warnings": list(report.warnings),
+        "warnings": list(report.bound.notes) if report.bound else [],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -362,15 +358,13 @@ def report_from_json(text: str) -> Report:
         verdict=doc["verdict"],
         sufficient_criterion_holds=bool(doc["sufficientCriterionHolds"]),
         bound=_bound_from_json(doc["bound"]) if doc.get("bound") else None,
-        warnings=tuple(doc["warnings"]),
     )
 
 
 # ---- text rendering ----
 
 def _marker(x: XReal) -> str:
-    from .xreal import Rounding
-    return "rounded up" if x.rounding is Rounding.UP else "rounded down"
+    return f"rounded {x.rounding.name.lower()}"
 
 
 def _render_invariants(report: Report, out: list) -> None:
@@ -404,7 +398,7 @@ def _render_bound(report: Report, out: list) -> None:
         out.append(f"component {name} = {x.decimal()} ({_marker(x)})")
     out.append("note: the bound is valid for any admissible absolute constant; "
                "its logarithm enters with the stated coefficient")
-    for w in report.warnings:
+    for w in b.notes:
         out.append(f"warning: {w}")
 
 

@@ -20,12 +20,13 @@ All three counts come from one scan of elements, taken one prime power at a
 time when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
 is the product of the SL2(Z/q) over the prime powers q || N, and H lies in
 the product of its images H_q mod q; it equals that product exactly when
-|H| = prod |H_q|.  Every H_q comes from sl2n._reduce_mod: Gamma0, Gamma1
-and SL2 are the same description at q, and any other image closes its
-generators mod q.  Then fixed vectors and conjugacy classes factor too, and
-one scan of a factor F's elements x gives A_F, the vectors fixed by each x
-summed over F, and B_F, those fixed by each -x, with x_F = |Cl(s_F) & F|
-and y_F = |Cl(s_F) & -F|:
+|H| = prod |H_q|.  The q come from numtheory._prime_powers, the one
+factorization of a level, and every closed form here is a product over it.
+Every H_q comes from sl2n._reduce_mod: Gamma0, Gamma1 and SL2 are the same
+description at q, and any other image closes its generators mod q.  Then
+fixed vectors and conjugacy classes factor too, and one scan of a factor F's
+elements x gives A_F, the vectors fixed by each x summed over F, and B_F,
+those fixed by each -x, with x_F = |Cl(s_F) & F| and y_F = |Cl(s_F) & -F|:
 
     nuInf = (prod A_F + prod B_F) / (2 |H|),
     nu2   = |C(s)| (prod x_F + prod y_F) / (2 |H|),
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .numtheory import prime_factors, sl2_order
+from .numtheory import _prime_powers, sl2_order
 from .sl2n import (Mat, SubgroupImage, _admit_level, _reduce_mod, _trace_hits, _units, closure,
                    pm_elements)
 
@@ -163,17 +164,6 @@ def standard_subgroup(kind: SubgroupKind | str, n: int) -> SubgroupImage:
     return SubgroupImage(n, kind.value, tuple(gens))
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, q) for each prime power q = p^e || n, in increasing order of p."""
-    out = []
-    for p in prime_factors(n):
-        q = p
-        while n % (q * p) == 0:
-            q *= p
-        out.append((p, q))
-    return out
-
-
 def _factors(H: SubgroupImage) -> tuple[SubgroupImage, ...]:
     """The images H_q of H mod each prime power q || N when H is their
     direct product, which holds exactly when |H| = prod |H_q|; else (H,).
@@ -217,7 +207,7 @@ def _centralizer_order(n: int, k: int) -> int:
     return out
 
 
-def _fixed(qs: list[tuple[int, int]], a: int, b: int, c: int, d: int) -> int:
+def _fixed(qs: tuple[tuple[int, int], ...], a: int, b: int, c: int, d: int) -> int:
     """The unimodular vectors v with x v = v, x = [[a, b], [c, d]], at the
     level whose prime powers are qs: over each q = p^e, with p^f the gcd of
     the entries of x - I and q, all q^2 - (q/p)^2 of them when f = e, else

@@ -3,7 +3,11 @@
 Everything here is integer arithmetic: factorization by trial division
 (levels stay small enough that nothing fancier is warranted), a primality
 test, Euler phi, the order of SL2 over Z/n, and the two derived level
-quantities used by the bound formulas.  It also holds the bound layer's
+quantities used by the bound formulas.  ``_prime_powers`` is the one
+factorization: it yields (p, q) for each prime power q = p^e || n, and every
+level formula is a product over it, phi(n) = prod (q - q/p) and
+|SL2(Z/n)| = prod q (q^2 - (q/p)^2) here and the per-prime counts of
+``invariants``.  It also holds the bound layer's
 default precision, which the CLI states in its help without loading that
 layer; ``fractions`` is imported only when ``b_of`` runs.
 
@@ -19,6 +23,7 @@ factor up to 41, is refused with a ``ValueError`` rather than declared prime.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -27,28 +32,28 @@ if TYPE_CHECKING:
 DEFAULT_PREC = 128  # mantissa bits of a bound evaluation, unless a job asks otherwise
 
 
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n >= 1, in increasing order."""
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, q) for each prime power q = p^e || n >= 1, in increasing order of p."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     out = []
-    m = n
-    for q in (2, 3):
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-    q = 5
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        # walk 5, 7, 11, 13, ... skipping multiples of 2 and 3
-        q += 2 if q % 3 == 2 else 4
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            out.append((p, q))
+        p += 1 if p == 2 else 4 if p % 3 == 1 else 2  # 2, 3, then 6k - 1 and 6k + 1
     if m > 1:
-        out.append(m)
+        out.append((m, m))
     return tuple(out)
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n >= 1, in increasing order."""
+    return tuple(p for p, _q in _prime_powers(n))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -90,10 +95,8 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    phi = n
-    for q in prime_factors(n):
-        phi = phi // q * (q - 1)
-    return phi
+    """phi(n) = prod (q - q/p) over the prime powers q = p^e || n >= 1."""
+    return prod(q - q // p for p, q in _prime_powers(n))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -111,18 +114,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def sl2_order(n: int) -> int:
-    """|SL2(Z/n)| = n^3 * prod_{q | n} (1 - q^-2), as an exact integer."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if n == 1:
-        return 1
-    r = n ** 3
-    for q in prime_factors(n):
-        r, rem = divmod(r, q * q)
-        if rem:
-            raise AssertionError("internal: inexact division in sl2_order")
-        r *= q * q - 1
-    return r
+    """|SL2(Z/n)| = n^3 prod_{p | n} (1 - p^-2) = prod q (q^2 - (q/p)^2) over
+    the prime powers q = p^e || n >= 1, as an exact integer."""
+    return prod(q * (q * q - (q // p) ** 2) for p, q in _prime_powers(n))
 
 
 @lru_cache(maxsize=None)

@@ -2,11 +2,13 @@
 
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+import reference as R
 from jbound.numtheory import (
+    _prime_powers,
     b_of,
     d_n,
     euler_phi,
@@ -24,6 +26,28 @@ def test_prime_factors():
     assert prime_factors(97) == (97,)
     assert prime_factors(2 * 3 * 5 * 7 * 11) == (2, 3, 5, 7, 11)
     assert prime_factors(1024) == (2,)
+
+
+def test_prime_power_walk_feeds_every_level_formula():
+    """_prime_powers is the one factorization: its prime powers multiply to
+    n, its primes are the reference's, and phi and |SL2| are its products."""
+    for n in range(1, 20001):
+        walk = _prime_powers(n)
+        assert prod(q for _p, q in walk) == n, n
+        for p, q in walk:
+            power = p
+            while power < q:
+                power *= p
+            assert power == q, (n, p, q)
+        primes = R.prime_factors(n)
+        assert [p for p, _q in walk] == primes, n
+        assert prime_factors(n) == tuple(primes), n
+        assert euler_phi(n) == R.euler_phi(n), n
+        assert sl2_order(n) == n ** 3 * prod(1 - Fraction(1, p * p) for p in primes), n
+    for n in (0, -1):
+        for f in (_prime_powers, prime_factors, sl2_order):
+            with pytest.raises(ValueError):
+                f(n)
 
 
 def test_is_prime():

@@ -263,9 +263,9 @@ def test_gamma0_order_factors_its_level_at_most_once(monkeypatch):
     images = [standard_subgroup("gamma0", n) for n in levels]
     numtheory.euler_phi.cache_clear()
     factored = []
-    prime_factors = numtheory.prime_factors
-    monkeypatch.setattr(numtheory, "prime_factors",
-                        lambda n: factored.append(n) or prime_factors(n))
+    prime_powers = numtheory._prime_powers
+    monkeypatch.setattr(numtheory, "_prime_powers",
+                        lambda n: factored.append(n) or prime_powers(n))
     for _ in range(50):
         for n, h in zip(levels, images):
             assert h.order == n * R.euler_phi(n) and hash(h) == hash((n, h.order))
