@@ -4,25 +4,30 @@ Three subcommands: ``invariants`` (index, cusps, elliptic counts, genus, and
 the same for the elliptic-stabilizer subgroup), ``bound`` (the full height
 bound report), and ``tables`` (deterministic family tables for regression
 testing).  A job can be given as a JSON document via --spec (file or '-' for
-stdin); individual flags override fields of the document.
+stdin); individual flags override fields of the document.  Each field has
+one name, its document key: the validated job is a dict keyed by them, and
+each flag's argparse dest is its key.
 
-Exit codes: 0 success, 2 no bound route applies, 3 malformed job
-specification, 4 request too large: the enumeration cap is exceeded, or
-the process ran out of memory (a MemoryError), each with its own message.
+The report is its JSON document: ``build_report`` returns the dict that
+--json writes, and the text rendering reads the same dict.
+
+Exit codes: 0 success, 1 stdout was closed before the output was written,
+2 no bound route applies, 3 malformed job specification, 4 request too
+large: the enumeration cap is exceeded, or the process ran out of memory (a
+MemoryError), each with its own message.
 
 Only the exact layer is imported with this module.  ``tables`` and
 ``invariants`` run without the bound layer (``bounds``, ``xreal``, mpmath) or
-``fractions``; the ``bound`` branch imports it, and so does reading back a
-JSON report that holds a bound.  ``json`` is imported by --spec and by the
-JSON writer and reader.
+``fractions``; the ``bound`` branch imports it.  ``json`` is imported by
+--spec and by the JSON writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -53,6 +58,14 @@ MAX_PRECISION = 8192
 
 _LOG10_BREAKDOWN_THRESHOLD = 10 ** 6
 
+# The fields of a job by their document keys, each with the value it takes
+# when neither the document nor a flag gives it.
+_JOB_DEFAULTS = {
+    "level": None, "subgroup": "gamma0", "gens": None, "degree": 1, "disc": 1,
+    "infPlaces": 1, "places": (), "lnC": 0.0, "precision": DEFAULT_PREC,
+}
+_INVARIANT_KEYS = ("mu", "nuInf", "nu2", "nu3", "genus")
+
 
 class SpecError(ValueError):
     """The job specification is malformed."""
@@ -61,35 +74,6 @@ class SpecError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors to the spec-error exit code
         raise SpecError(message)
-
-
-@dataclass
-class JobSpec:
-    level: int
-    subgroup: str = "gamma0"
-    gens: str | None = None
-    degree: int = 1
-    abs_disc: int = 1
-    inf_places: int = 1
-    places: tuple = ()
-    ln_c: float = 0.0
-    precision_bits: int = DEFAULT_PREC
-
-
-@dataclass(frozen=True)
-class Report:
-    """Machine-readable result of one job."""
-
-    schema: int
-    command: str
-    level: int
-    subgroup: str
-    invariants: CurveInvariants
-    tilde_order: int
-    tilde_invariants: CurveInvariants
-    verdict: str
-    sufficient_criterion_holds: bool
-    bound: BoundReport | None
 
 
 def _parse_place(text: str) -> tuple[int, int]:
@@ -144,53 +128,36 @@ def _load_spec_document(path: str) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
+    # ValueError: bad JSON, or an integer too long; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecError(f"cannot read job spec: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("job spec document must be a JSON object")
     return doc
 
 
-_DOC_KEYS = {
-    "level": "level", "subgroup": "subgroup", "gens": "gens",
-    "degree": "degree", "disc": "abs_disc", "infPlaces": "inf_places",
-    "places": "places", "lnC": "ln_c", "precision": "precision_bits",
-}
-
-
-def _build_jobspec(args: argparse.Namespace) -> JobSpec:
-    values: dict = {}
-    if args.spec:
-        doc = _load_spec_document(args.spec)
-        unknown = set(doc) - set(_DOC_KEYS)
-        if unknown:
-            raise SpecError(f"unknown job spec keys: {sorted(unknown)}")
-        for key, dest in _DOC_KEYS.items():
-            if key in doc:
-                values[dest] = doc[key]
-    overrides = {
-        "level": args.level, "subgroup": args.subgroup, "gens": args.gens,
-        "degree": args.degree, "abs_disc": args.disc,
-        "inf_places": args.inf_places, "ln_c": args.lnC,
-        "precision_bits": args.precision,
-    }
-    for dest, val in overrides.items():
-        if val is not None:
-            values[dest] = val
-    if args.place:
-        values["places"] = list(args.place)
-    if values.get("level") is None:
+def _build_job(args: argparse.Namespace) -> dict:
+    """The document's fields, each overridden by its flag, checked, with
+    the defaults of the fields neither gives."""
+    values = _load_spec_document(args.spec) if args.spec else {}
+    unknown = set(values) - set(_JOB_DEFAULTS)
+    if unknown:
+        raise SpecError(f"unknown job spec keys: {sorted(unknown)}")
+    for key in _JOB_DEFAULTS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    job = {**_JOB_DEFAULTS, **values}
+    if job["level"] is None:
         raise SpecError("a level is required (--level or the job spec)")
-    level = _as_int(values["level"], "level")
-    if level < 2:
-        raise SpecError(f"level must be >= 2, got {level}")
-    places_raw = values.get("places", ())
-    if not isinstance(places_raw, (list, tuple)):
-        raise SpecError(f"places must be a list, got {places_raw!r}")
-    if not isinstance(values.get("gens", ""), (str, type(None))):
-        raise SpecError(f"gens must be a string, got {values['gens']!r}")
+    job["level"] = _as_int(job["level"], "level")
+    if job["level"] < 2:
+        raise SpecError(f"level must be >= 2, got {job['level']}")
+    if not isinstance(job["places"], (list, tuple)):
+        raise SpecError(f"places must be a list, got {job['places']!r}")
+    if not isinstance(job["gens"], (str, type(None))):
+        raise SpecError(f"gens must be a string, got {job['gens']!r}")
     places = []
-    for item in places_raw:
+    for item in job["places"]:
         if isinstance(item, str):
             places.append(_parse_place(item))
         elif isinstance(item, (list, tuple)) and len(item) == 2:
@@ -198,81 +165,48 @@ def _build_jobspec(args: argparse.Namespace) -> JobSpec:
                            _as_int(item[1], "residue degree")))
         else:
             raise SpecError(f"cannot parse place entry {item!r}")
-    given = {"level": level, "places": tuple(places)}  # JobSpec supplies the rest
-    if "ln_c" in values:
-        ln_c = values["ln_c"]
-        if isinstance(ln_c, bool):
-            raise SpecError(f"lnC must be a number, got {ln_c!r}")
-        try:
-            given["ln_c"] = ln_c = float(ln_c)
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
-            raise SpecError(f"bad lnC: {exc}") from exc
-        if not math.isfinite(ln_c):
-            raise SpecError(f"lnC must be finite, got {ln_c}")
-    for key in ("degree", "disc", "infPlaces", "precision"):
-        dest = _DOC_KEYS[key]
-        if dest in values:
-            given[dest] = _as_int(values[dest], key)
-    if "subgroup" in values:
-        given["subgroup"] = str(values["subgroup"])
-    if "gens" in values:
-        given["gens"] = values["gens"]
-    spec = JobSpec(**given)
-    if not 8 <= spec.precision_bits <= MAX_PRECISION:
-        raise SpecError(f"precision must be 8..{MAX_PRECISION} bits, "
-                        f"got {spec.precision_bits}")
-    return spec
-
-
-def _resolve_subgroup(spec: JobSpec) -> SubgroupImage:
-    if spec.gens is not None:
-        return closure(spec.level, _parse_gens(spec.gens, spec.level))
+    job["places"] = tuple(places)
+    if isinstance(job["lnC"], bool):
+        raise SpecError(f"lnC must be a number, got {job['lnC']!r}")
     try:
-        kind = SubgroupKind(spec.subgroup)
+        job["lnC"] = float(job["lnC"])
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
+        raise SpecError(f"bad lnC: {exc}") from exc
+    if not math.isfinite(job["lnC"]):
+        raise SpecError(f"lnC must be finite, got {job['lnC']}")
+    for key in ("degree", "disc", "infPlaces", "precision"):
+        job[key] = _as_int(job[key], key)
+    job["subgroup"] = str(job["subgroup"])
+    if not 8 <= job["precision"] <= MAX_PRECISION:
+        raise SpecError(f"precision must be 8..{MAX_PRECISION} bits, "
+                        f"got {job['precision']}")
+    return job
+
+
+def _resolve_subgroup(job: dict) -> SubgroupImage:
+    if job["gens"] is not None:
+        return closure(job["level"], _parse_gens(job["gens"], job["level"]))
+    try:
+        kind = SubgroupKind(job["subgroup"])
     except ValueError as exc:
         raise SpecError(
-            f"unknown subgroup kind {spec.subgroup!r}; expected one of "
+            f"unknown subgroup kind {job['subgroup']!r}; expected one of "
             f"{[k.value for k in SubgroupKind]}") from exc
-    return standard_subgroup(kind, spec.level)
+    return standard_subgroup(kind, job["level"])
 
 
-def _field_and_sset(spec: JobSpec) -> tuple[NumberFieldSpec, SSetSpec]:
+def _field_and_sset(job: dict) -> tuple[NumberFieldSpec, SSetSpec]:
     from .bounds import NumberFieldSpec, SSetSpec, _check_compatible
     try:
-        field = NumberFieldSpec(spec.degree, spec.abs_disc)
-        sset = SSetSpec(spec.inf_places, spec.places)
+        field = NumberFieldSpec(job["degree"], job["disc"])
+        sset = SSetSpec(job["infPlaces"], job["places"])
         _check_compatible(field, sset)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     return field, sset
 
 
-def build_report(spec: JobSpec, want_bound: bool) -> Report:
-    H = _resolve_subgroup(spec)
-    app = applicability(H)
-    bound = None
-    if want_bound:  # the first use of the bound layer in a process imports it
-        from .bounds import bound_auto
-        from .xreal import Rounding
-        fieldspec, sset = _field_and_sset(spec)
-        # raises InapplicableError when neither route applies
-        bound = bound_auto(app, fieldspec, sset, spec.ln_c,
-                           Rounding.UP, spec.precision_bits)
-    return Report(
-        schema=SCHEMA_VERSION,
-        command="bound" if want_bound else "invariants",
-        level=spec.level,
-        subgroup=spec.subgroup if spec.gens is None else f"gens:{spec.gens}",
-        invariants=app.invariants,
-        tilde_order=app.tilde_image.order,
-        tilde_invariants=app.tilde_invariants,
-        verdict=app.verdict.value,
-        sufficient_criterion_holds=app.sufficient_criterion_holds,
-        bound=bound,
-    )
-
-
-# ---- serialization ----
+# ---- the report: its JSON document ----
 
 def _xreal_to_json(x: XReal) -> dict:
     sign, man, exp, bc = x.raw
@@ -292,13 +226,7 @@ def _xreal_from_json(doc: dict) -> XReal:
 
 
 def _invariants_to_json(inv: CurveInvariants) -> dict:
-    return {"mu": inv.mu, "nuInf": inv.nu_inf, "nu2": inv.nu2,
-            "nu3": inv.nu3, "genus": inv.genus}
-
-
-def _invariants_from_json(doc: dict) -> CurveInvariants:
-    return CurveInvariants(doc["mu"], doc["nuInf"], doc["nu2"],
-                           doc["nu3"], doc["genus"])
+    return dict(zip(_INVARIANT_KEYS, (inv.mu, inv.nu_inf, inv.nu2, inv.nu3, inv.genus)))
 
 
 def _bound_to_json(b: BoundReport) -> dict:
@@ -312,101 +240,77 @@ def _bound_to_json(b: BoundReport) -> dict:
     }
 
 
-def _bound_from_json(doc: dict) -> BoundReport:
-    from .bounds import BoundReport, Theorem
-    return BoundReport(
-        theorem=Theorem(doc["theorem"]),
-        level_used=int(doc["levelUsed"]),
-        log10_bound=_xreal_from_json(doc["log10Bound"]),
-        ln_c_coefficient=int(doc["logCCoefficient"]),
-        components={k: _xreal_from_json(v) for k, v in doc["components"].items()},
-        notes=tuple(doc["notes"]),
-    )
-
-
-def report_to_json(report: Report) -> str:
-    import json
-    doc = {
-        "schema": report.schema,
-        "command": report.command,
-        "level": report.level,
-        "subgroup": report.subgroup,
-        "invariants": _invariants_to_json(report.invariants),
+def build_report(job: dict, want_bound: bool) -> dict:
+    """The report of one job: the document that --json writes."""
+    H = _resolve_subgroup(job)
+    app = applicability(H)
+    bound = None
+    if want_bound:  # the first use of the bound layer in a process imports it
+        from .bounds import bound_auto
+        from .xreal import Rounding
+        fieldspec, sset = _field_and_sset(job)
+        # raises InapplicableError when neither route applies
+        bound = _bound_to_json(bound_auto(app, fieldspec, sset, job["lnC"],
+                                          Rounding.UP, job["precision"]))
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "bound" if want_bound else "invariants",
+        "level": job["level"],
+        "subgroup": job["subgroup"] if job["gens"] is None else f"gens:{job['gens']}",
+        "invariants": _invariants_to_json(app.invariants),
         "tilde": {
-            "order": report.tilde_order,
-            "invariants": _invariants_to_json(report.tilde_invariants),
+            "order": app.tilde_image.order,
+            "invariants": _invariants_to_json(app.tilde_invariants),
         },
-        "verdict": report.verdict,
-        "sufficientCriterionHolds": report.sufficient_criterion_holds,
-        "bound": _bound_to_json(report.bound) if report.bound else None,
-        "warnings": list(report.bound.notes) if report.bound else [],
+        "verdict": app.verdict.value,
+        "sufficientCriterionHolds": app.sufficient_criterion_holds,
+        "bound": bound,
+        "warnings": list(bound["notes"]) if bound else [],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def report_from_json(text: str) -> Report:
+def report_to_json(report: dict) -> str:
     import json
-    doc = json.loads(text)
-    return Report(
-        schema=int(doc["schema"]),
-        command=doc["command"],
-        level=int(doc["level"]),
-        subgroup=doc["subgroup"],
-        invariants=_invariants_from_json(doc["invariants"]),
-        tilde_order=int(doc["tilde"]["order"]),
-        tilde_invariants=_invariants_from_json(doc["tilde"]["invariants"]),
-        verdict=doc["verdict"],
-        sufficient_criterion_holds=bool(doc["sufficientCriterionHolds"]),
-        bound=_bound_from_json(doc["bound"]) if doc.get("bound") else None,
-    )
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 # ---- text rendering ----
 
-def _marker(x: XReal) -> str:
-    return f"rounded {x.rounding.name.lower()}"
+def _invariants_text(inv: dict) -> str:
+    return "  ".join(f"{key} {inv[key]}" for key in _INVARIANT_KEYS)
 
 
-def _render_invariants(report: Report, out: list) -> None:
-    inv = report.invariants
-    out.append(f"subgroup {report.subgroup} level {report.level}")
-    out.append(f"mu {inv.mu}  nuInf {inv.nu_inf}  nu2 {inv.nu2}  "
-               f"nu3 {inv.nu3}  genus {inv.genus}")
-    tinv = report.tilde_invariants
-    out.append(f"tilde order {report.tilde_order}  mu {tinv.mu}  "
-               f"nuInf {tinv.nu_inf}  nu2 {tinv.nu2}  nu3 {tinv.nu3}  "
-               f"genus {tinv.genus}")
-    crit = "holds" if report.sufficient_criterion_holds else "fails"
-    out.append(f"verdict {report.verdict}  (three-cusp order criterion: {crit})")
-
-
-def _render_bound(report: Report, out: list) -> None:
+def _render_bound(b: dict, out: list) -> None:
     from .bounds import _log10
     from .xreal import XReal
-    b = report.bound
-    out.append(f"theorem {b.theorem.value}")
-    out.append(f"levelUsed {b.level_used}")
-    out.append(f"lnC coefficient {b.ln_c_coefficient}")
-    out.append(f"log10(bound) = {b.log10_bound.decimal()} ({_marker(b.log10_bound)})")
-    threshold = XReal.from_int(_LOG10_BREAKDOWN_THRESHOLD,
-                               b.log10_bound.rounding, b.log10_bound.prec)
-    if b.log10_bound > threshold:
-        loglog = _log10(b.log10_bound.log(), b.log10_bound.rounding, b.log10_bound.prec)
-        out.append(f"log10(log10(bound)) = {loglog.decimal()} ({_marker(loglog)})")
-    for name in sorted(b.components):
-        x = b.components[name]
-        out.append(f"component {name} = {x.decimal()} ({_marker(x)})")
+    out.append(f"theorem {b['theorem']}")
+    out.append(f"levelUsed {b['levelUsed']}")
+    out.append(f"lnC coefficient {b['logCCoefficient']}")
+    log10_bound = b["log10Bound"]
+    out.append(f"log10(bound) = {log10_bound['decimal']} "
+               f"(rounded {log10_bound['rounding']})")
+    x = _xreal_from_json(log10_bound)
+    if x > XReal.from_int(_LOG10_BREAKDOWN_THRESHOLD, x.rounding, x.prec):
+        loglog = _log10(x.log(), x.rounding, x.prec)
+        out.append(f"log10(log10(bound)) = {loglog.decimal()} "
+                   f"(rounded {loglog.rounding.name.lower()})")
+    for name, c in sorted(b["components"].items()):
+        out.append(f"component {name} = {c['decimal']} (rounded {c['rounding']})")
     out.append("note: the bound is valid for any admissible absolute constant; "
                "its logarithm enters with the stated coefficient")
-    for w in b.notes:
+    for w in b["notes"]:
         out.append(f"warning: {w}")
 
 
-def render_report(report: Report) -> str:
-    out: list[str] = []
-    _render_invariants(report, out)
-    if report.bound is not None:
-        _render_bound(report, out)
+def render_report(report: dict) -> str:
+    tilde = report["tilde"]
+    crit = "holds" if report["sufficientCriterionHolds"] else "fails"
+    out = [f"subgroup {report['subgroup']} level {report['level']}",
+           _invariants_text(report["invariants"]),
+           f"tilde order {tilde['order']}  {_invariants_text(tilde['invariants'])}",
+           f"verdict {report['verdict']}  (three-cusp order criterion: {crit})"]
+    if report["bound"] is not None:
+        _render_bound(report["bound"], out)
     return "\n".join(out) + "\n"
 
 
@@ -449,9 +353,9 @@ def _add_job_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gens", help="explicit generators 'a,b,c,d;a,b,c,d;...'")
     sub.add_argument("--degree", type=int, help="field degree d (default 1)")
     sub.add_argument("--disc", type=int, help="absolute discriminant |D| (default 1)")
-    sub.add_argument("--inf-places", type=int, dest="inf_places",
+    sub.add_argument("--inf-places", type=int, dest="infPlaces", metavar="INF_PLACES",
                      help="number of infinite places in S (default 1)")
-    sub.add_argument("--place", action="append",
+    sub.add_argument("--place", action="append", dest="places", metavar="PLACE",
                      help="finite place as p or p^f; repeatable")
     sub.add_argument("--lnC", type=float, help="ln of the absolute constant (default 0)")
     sub.add_argument("--precision", type=int,
@@ -483,24 +387,31 @@ def _make_parser() -> _Parser:
 
 
 def _run(argv) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse --help
+        return int(exc.code or 0)
     if args.command == "tables":
         sys.stdout.write(render_tables(args.family, args.start, args.stop,
                                        args.primes_only))
         return EXIT_OK
-    spec = _build_jobspec(args)
-    report = build_report(spec, want_bound=(args.command == "bound"))
-    if args.json:
-        sys.stdout.write(report_to_json(report) + "\n")
-    else:
-        sys.stdout.write(render_report(report))
+    report = build_report(_build_job(args), want_bound=(args.command == "bound"))
+    sys.stdout.write(report_to_json(report) + "\n" if args.json else render_report(report))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to devnull, so the final flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
@@ -514,8 +425,6 @@ def main(argv=None) -> int:
     except InapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

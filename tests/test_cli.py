@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, text and JSON output, job documents."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -16,11 +17,9 @@ from jbound.cli import (
     EXIT_OK,
     EXIT_SPEC_ERROR,
     MAX_PRECISION,
-    JobSpec,
     build_report,
     main,
     render_tables,
-    report_from_json,
     report_to_json,
 )
 from jbound.numtheory import sl2_order
@@ -265,11 +264,39 @@ def test_spec_file_with_flag_override(tmp_path, capsys):
     assert code == EXIT_OK
     assert "levelUsed 10" in out
 
-    # --disc overrides the document value; verify via the JSON report
-    code, out, _err = run(capsys, "bound", "--spec", str(path),
-                          "--disc", "1", "--json")
-    assert code == EXIT_OK
-    assert json.loads(out)["schema"] == 1
+
+# at level 12 the three-cusp route applies, and its bound moves with |D|
+SPEC_BASE = {"level": 12, "subgroup": "gamma0", "degree": 2, "disc": 23,
+             "infPlaces": 1, "places": ["3"], "lnC": 0.5, "precision": 128}
+OVERRIDES = [  # document key, its value a in the document, value b, the flag giving b
+    ("level", 12, 13, ["--level", "13"]),
+    ("subgroup", "gamma0", "gamma1", ["--subgroup", "gamma1"]),
+    ("gens", "0,11,1,0", "1,1,0,1", ["--gens", "1,1,0,1"]),
+    ("degree", 2, 3, ["--degree", "3"]),
+    ("disc", 23, 49, ["--disc", "49"]),
+    ("infPlaces", 1, 2, ["--inf-places", "2"]),
+    ("places", ["3"], ["5^2"], ["--place", "5^2"]),
+    ("lnC", 0.5, 2.5, ["--lnC", "2.5"]),
+    ("precision", 128, 256, ["--precision", "256"]),
+]
+
+
+@pytest.mark.parametrize("key, a, b, flag", OVERRIDES, ids=[o[0] for o in OVERRIDES])
+def test_each_flag_overrides_its_document_key(tmp_path, capsys, key, a, b, flag):
+    """--spec {key: a} with the flag giving b prints what --spec {key: b}
+    prints, and not what --spec {key: a} prints."""
+    command = ("invariants",) if key in ("level", "subgroup", "gens") else ("bound", "--json")
+    path = tmp_path / "job.json"
+
+    def output(value, *flags):
+        path.write_text(json.dumps({**SPEC_BASE, key: value}))
+        code, out, err = run(capsys, *command, "--spec", str(path), *flags)
+        assert code == EXIT_OK, err
+        return out
+
+    overridden = output(a, *flag)
+    assert overridden == output(b)
+    assert overridden != output(a)
 
 
 def test_spec_unknown_keys_rejected(tmp_path, capsys):
@@ -282,9 +309,11 @@ def test_spec_unknown_keys_rejected(tmp_path, capsys):
 
 def test_spec_malformed_json(tmp_path, capsys):
     path = tmp_path / "job.json"
-    path.write_text("{not json")
-    code, _out, _err = run(capsys, "invariants", "--spec", str(path))
-    assert code == EXIT_SPEC_ERROR
+    # the second document is nested deeper than json.loads can recurse
+    for text in ("{not json", '{"level": ' + "[" * 200000 + "]" * 200000 + "}"):
+        path.write_text(text)
+        code, _out, _err = run(capsys, "invariants", "--spec", str(path))
+        assert code == EXIT_SPEC_ERROR
 
 
 def test_spec_integer_beyond_the_str_to_int_limit(tmp_path, capsys):
@@ -351,10 +380,10 @@ def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
 # ---- JSON report ----
 
 def test_json_report_round_trip():
-    spec = JobSpec(level=17, subgroup="gamma0")
-    rep = build_report(spec, want_bound=True)
+    args = cli._make_parser().parse_args(["bound", "--level", "17", "--subgroup", "gamma0"])
+    rep = build_report(cli._build_job(args), want_bound=True)
     text = report_to_json(rep)
-    again = report_from_json(text)
+    again = json.loads(text)
     assert again == rep
     assert report_to_json(again) == text
 
@@ -379,8 +408,6 @@ def test_json_report_fields(capsys):
     assert b["log10Bound"]["rounding"] == "up"
     assert b["log10Bound"]["decimal"].endswith("e+2659628459")
     assert len(doc["warnings"]) == 2
-    restored = report_from_json(out)
-    assert restored.bound.ln_c_coefficient == 998784
 
 
 def test_json_invariants_has_no_bound(capsys):
@@ -627,6 +654,22 @@ def test_bound_reports_match_goldens(capsys, name):
         code, out, _err = run(capsys, "bound", *BOUND_GOLDENS[name], *extra)
         assert code == EXIT_OK
         assert out == (golden_dir / f"bound_{name}.{ext}").read_text(), ext
+
+
+@pytest.mark.parametrize("argv", [("tables", "--to", "30"), ("bound", "--level", "17", "--json")],
+                         ids=["tables", "bound-json"])
+def test_closed_stdout_is_one_error_line(argv):
+    """A stdout whose read end is closed ends in exit 1 and one error line,
+    not a BrokenPipeError traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jbound", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_console_entry_point_runs():
