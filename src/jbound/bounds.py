@@ -28,9 +28,8 @@ from .xreal import DEFAULT_PREC, Rounding, XReal
 
 __all__ = [
     "NumberFieldSpec", "SSetSpec", "Theorem", "BoundReport", "InapplicableError",
-    "d_n", "m_of", "b_of", "lambda_ln", "h_s", "p_max", "ln_dstar",
-    "ln_delta0", "ln_delta", "bound_main", "bound_main1", "bound_auto",
-    "delta1_ln",
+    "lambda_ln", "h_s", "p_max", "ln_dstar", "ln_delta0", "ln_delta",
+    "bound_main", "bound_main1", "bound_auto", "delta1_ln",
 ]
 
 

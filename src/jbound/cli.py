@@ -75,6 +75,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors to the spec-error exit code
         raise SpecError(message)
 
+    def _print_message(self, message, file=None):  # argparse 3.11+ drops a failed write
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _parse_place(text: str) -> tuple[int, int]:
     try:

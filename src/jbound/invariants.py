@@ -17,7 +17,7 @@ and nu3 likewise with t.  The genus follows from the exact integer identity
 <H, -I>, and all counts are taken there.
 
 All three counts come from one scan of elements, taken one prime power at a
-time when H splits, in curve_invariants, which elliptic_counts reads.  SL2(Z/N)
+time when H splits, in curve_invariants, also named elliptic_counts.  SL2(Z/N)
 is the product of the SL2(Z/q) over the prime powers q || N, and H lies in
 the product of its images H_q mod q; it equals that product exactly when
 |H| = prod |H_q|.  The q come from numtheory._prime_powers, the one
@@ -62,7 +62,7 @@ Gamma1(N), T and each diag(u, u^-1) whose u enlarges the units kept, picked
 in (Z/N)^*, for Gamma0(N), and S and T for SL2(Z/N).  applicability reads
 the invariants of H and of its tilde once, through the cached
 curve_invariants, and returns both, so callers never count cusps themselves.
-Each of the four caches keeps its 64 most recent entries, and no other
+Each of the three caches keeps its 64 most recent entries, and no other
 place holds an image.  Every level is admitted by sl2n._admit_level, which
 refuses one below 2 or whose |SL2(Z/N)| exceeds sl2n.ENUMERATION_CAP, as it
 reads at that call, before any key is made.
@@ -286,6 +286,9 @@ def psl_index(H: SubgroupImage) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def curve_invariants(H: SubgroupImage) -> CurveInvariants:
+    """mu, nuInf, nu2, nu3 and the genus of the curve of H, from one scan of
+    each factor of H.  elliptic_counts is another name for this function,
+    read for nu2 over j=1728 and nu3 over j=0; the two share one cache."""
     mu = psl_index(H)
     nu_inf, nu2, nu3 = _counts(H)
     g12, rem = divmod(12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12)
@@ -294,11 +297,7 @@ def curve_invariants(H: SubgroupImage) -> CurveInvariants:
     return CurveInvariants(mu, nu_inf, nu2, nu3, g12)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def elliptic_counts(H: SubgroupImage) -> CurveInvariants:
-    """curve_invariants(H), read for its elliptic counts nu2 over j=1728 and
-    nu3 over j=0."""
-    return curve_invariants(H)
+elliptic_counts = curve_invariants
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -311,7 +310,7 @@ def tilde_subgroup(H: SubgroupImage) -> SubgroupImage:
     Otherwise one closure of them in key order builds it, and it is H itself
     when its order is |H|."""
     n = H.level
-    inv = elliptic_counts(H)
+    inv = curve_invariants(H)
     if inv.nu2 == inv.nu3 == 0:
         return H if H.order == 1 else closure(n, [])
     if H.order == sl2_order(n):

@@ -119,7 +119,6 @@ def sl2_order(n: int) -> int:
     return prod(q * (q * q - (q // p) ** 2) for p, q in _prime_powers(n))
 
 
-@lru_cache(maxsize=None)
 def d_n(n: int) -> int:
     """Degree of the covering attached to level n: sl2_order(n)/2, except 6 at n=2."""
     if n < 2:

@@ -140,10 +140,6 @@ class XReal:
 
     # ---- payload queries ----
 
-    @property
-    def is_zero(self) -> bool:
-        return self.raw == fzero
-
     def payload_sign(self) -> int:
         """-1, 0, or +1 for the stored payload."""
         if self.raw == fzero:

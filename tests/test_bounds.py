@@ -180,7 +180,7 @@ def test_bound_main_level6_decomposition():
         assert rel(rep.components["lnLogTerm"], 18 * mp.log(mp.log(6))) < 1e-20
         assert rel(rep.components["lnDelta0"],
                    3 * mp.log(6) + 2 * mp.log(6 * mp.log(6))) < 1e-20
-    assert rep.components["lnPTerm"].is_zero
+    assert rep.components["lnPTerm"].payload_sign() == 0
     total = (rep.components["lnCTerm"].add(rep.components["lnLogTerm"])
              .add(rep.components["lnPTerm"]).add(rep.components["lnDelta0"]))
     assert payload_rel_diff(total, rep.ln_bound) == 0.0
@@ -256,7 +256,7 @@ def test_field_and_sset_validation():
 
 
 def test_h_s_and_p_max():
-    assert h_s(SSetSpec(3), NumberFieldSpec(2, 5)).is_zero
+    assert h_s(SSetSpec(3), NumberFieldSpec(2, 5)).payload_sign() == 0
     assert p_max(SSetSpec(2)) == 1
     assert p_max(SSetSpec(1, ((3, 1), (11, 2), (7, 1)))) == 11
     got = h_s(SSetSpec(1, ((2, 2), (3, 1))), NumberFieldSpec(4, 1), UP)
@@ -269,7 +269,7 @@ def test_zero_lambda_isolates_the_disc_and_h_s_terms_of_dstar():
     # elsewhere Lambda swamps the disc and h_S terms
     zero = XReal.zero(UP)
     x = bounds._ln_dstar(7, NumberFieldSpec(3, 1), SSetSpec(2), zero, UP, 128)
-    assert x.is_zero
+    assert x.payload_sign() == 0
     y = bounds._ln_dstar(7, NumberFieldSpec(1, 1), SSetSpec(1, ((2, 1),)), zero, UP, 128)
     with mp.workdps(60):
         assert rel(y, 168 * mp.log(2)) < 1e-25

@@ -656,16 +656,26 @@ def test_bound_reports_match_goldens(capsys, name):
         assert out == (golden_dir / f"bound_{name}.{ext}").read_text(), ext
 
 
-@pytest.mark.parametrize("argv", [("tables", "--to", "30"), ("bound", "--level", "17", "--json")],
-                         ids=["tables", "bound-json"])
-def test_closed_stdout_is_one_error_line(argv):
+CLOSED_STDOUT_JOBS = {"tables": ("tables", "--to", "30"),
+                      "bound-json": ("bound", "--level", "17", "--json"),
+                      "help": ("--help",), "bound-help": ("bound", "--help")}
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(argv, unbuffered, id=name + "-unbuffered" * unbuffered)
+    for name, argv in CLOSED_STDOUT_JOBS.items() for unbuffered in (False, True)])
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
     """A stdout whose read end is closed ends in exit 1 and one error line,
-    not a BrokenPipeError traceback."""
+    not a BrokenPipeError traceback, nor, for --help written unbuffered, an
+    exit 0 with the help lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "jbound", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True)
+                              stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

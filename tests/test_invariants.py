@@ -233,6 +233,11 @@ def test_elliptic_count_examples():
     assert (e13.nu2, e13.nu3) == (2, 2)
 
 
+def test_elliptic_counts_is_curve_invariants():
+    """elliptic_counts is another name for curve_invariants: one function, one cache."""
+    assert elliptic_counts is curve_invariants
+
+
 def test_stabilizer_generator_orders():
     for kind in SubgroupKind:
         for n in range(2, 15):
